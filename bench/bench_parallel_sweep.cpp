@@ -2,7 +2,8 @@
 /// Fig. 9-a style PVCSEL x Pchip grid at 1, 2, 4 and `util::concurrency()`
 /// threads, reports wall-clock speedup, and verifies that every thread
 /// count reproduces the serial results bit for bit (the determinism
-/// contract of util/thread_pool.hpp).
+/// contract of util/thread_pool.hpp). Each run sets the process concurrency
+/// knob, which every region of the sweep inherits.
 ///
 /// Grid: 8 x 8 by default (64 independent steady-state solves);
 /// PHOTHERM_FAST=1 shrinks it to 4 x 4 for smoke runs. Speedup is bounded
@@ -37,24 +38,24 @@ int main() {
   const std::vector<double> p_chip = core::linspace(12.5, 31.25, axis);
   const std::vector<double> p_vcsel = core::linspace(0.0, 6e-3, axis);
 
+  const std::size_t default_threads = util::concurrency();
   std::vector<std::size_t> thread_counts{1, 2, 4};
-  if (std::find(thread_counts.begin(), thread_counts.end(), util::concurrency()) ==
+  if (std::find(thread_counts.begin(), thread_counts.end(), default_threads) ==
       thread_counts.end()) {
-    thread_counts.push_back(util::concurrency());
+    thread_counts.push_back(default_threads);
   }
 
   std::cout << "parallel sweep scaling: " << axis << " x " << axis << " grid ("
             << axis * axis << " steady-state solves), hardware concurrency = "
-            << util::concurrency() << "\n\n";
+            << default_threads << "\n\n";
 
   Table table({"threads", "wall time (s)", "speedup vs 1 thread", "bit-identical"});
   std::vector<core::AvgTemperaturePoint> reference;
   double serial_seconds = 0.0;
   for (std::size_t threads : thread_counts) {
-    core::SweepOptions sweep;
-    sweep.threads = threads;
+    util::set_concurrency(threads);
     const auto start = Clock::now();
-    const auto result = core::sweep_vcsel_chip_power(spec, p_chip, p_vcsel, sweep);
+    const auto result = core::sweep_vcsel_chip_power(spec, p_chip, p_vcsel);
     const double seconds = std::chrono::duration<double>(Clock::now() - start).count();
 
     bool identical = true;

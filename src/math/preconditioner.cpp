@@ -32,7 +32,7 @@ Vector checked_inverse_diagonal(const LinearOperator& a, const char* who) {
 /// Elementwise z[i] = r[i] * d[i], threaded chunk-ordered like the vector
 /// kernels (serial below kSerialCutoff): a serial diagonal scale inside an
 /// otherwise-threaded CG iteration would be the one unthreaded stage.
-void scaled_copy(const Vector& r, const Vector& d, Vector& z, std::size_t threads) {
+void scaled_copy(const Vector& r, const Vector& d, Vector& z) {
   z.resize(r.size());
   auto body = [&](std::size_t begin, std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) {
@@ -43,12 +43,12 @@ void scaled_copy(const Vector& r, const Vector& d, Vector& z, std::size_t thread
     body(0, r.size());
     return;
   }
-  util::parallel_for(r.size(), util::kKernelGrain, body, threads);
+  util::parallel_for(r.size(), util::kKernelGrain, body);
 }
 
 }  // namespace
 
-void IdentityPreconditioner::apply(const Vector& r, Vector& z, std::size_t) const {
+void IdentityPreconditioner::apply(const Vector& r, Vector& z) const {
   telemetry::count("precond.identity.applies");
   z = r;
 }
@@ -56,10 +56,10 @@ void IdentityPreconditioner::apply(const Vector& r, Vector& z, std::size_t) cons
 JacobiPreconditioner::JacobiPreconditioner(const LinearOperator& a)
     : inv_diag_(checked_inverse_diagonal(a, "Jacobi preconditioner")) {}
 
-void JacobiPreconditioner::apply(const Vector& r, Vector& z, std::size_t threads) const {
+void JacobiPreconditioner::apply(const Vector& r, Vector& z) const {
   PH_REQUIRE(r.size() == inv_diag_.size(), "Jacobi apply: size mismatch");
   telemetry::count("precond.jacobi.applies");
-  scaled_copy(r, inv_diag_, z, threads);
+  scaled_copy(r, inv_diag_, z);
 }
 
 SsorPreconditioner::SsorPreconditioner(const CsrMatrix& a, double omega)
@@ -75,7 +75,7 @@ SsorPreconditioner::SsorPreconditioner(const CsrMatrix& a, double omega)
   }
 }
 
-void SsorPreconditioner::apply(const Vector& r, Vector& z, std::size_t) const {
+void SsorPreconditioner::apply(const Vector& r, Vector& z) const {
   const std::size_t n = diag_.size();
   PH_REQUIRE(r.size() == n, "SSOR apply: size mismatch");
   telemetry::count("precond.ssor.applies");
@@ -167,7 +167,7 @@ Ilu0Preconditioner::Ilu0Preconditioner(const CsrMatrix& a)
   }
 }
 
-void Ilu0Preconditioner::apply(const Vector& r, Vector& z, std::size_t) const {
+void Ilu0Preconditioner::apply(const Vector& r, Vector& z) const {
   PH_REQUIRE(r.size() == n_, "ILU(0) apply: size mismatch");
   telemetry::count("precond.ilu0.applies");
   // Solve L y = r (unit lower triangular).
@@ -213,7 +213,7 @@ ChebyshevPreconditioner::ChebyshevPreconditioner(const LinearOperator& a,
   lambda_min_ = std::min(lambda_min_, 0.95 * lambda_max_);
 }
 
-void ChebyshevPreconditioner::apply(const Vector& r, Vector& z, std::size_t threads) const {
+void ChebyshevPreconditioner::apply(const Vector& r, Vector& z) const {
   const std::size_t n = inv_diag_.size();
   PH_REQUIRE(r.size() == n, "Chebyshev apply: size mismatch");
   telemetry::count("precond.chebyshev.applies");
@@ -235,7 +235,7 @@ void ChebyshevPreconditioner::apply(const Vector& r, Vector& z, std::size_t thre
   if (n < util::kSerialCutoff) {
     first(0, n);
   } else {
-    util::parallel_for(n, util::kKernelGrain, first, threads);
+    util::parallel_for(n, util::kKernelGrain, first);
   }
   z = d;
   if (degree_ == 1) {
@@ -247,8 +247,8 @@ void ChebyshevPreconditioner::apply(const Vector& r, Vector& z, std::size_t thre
   double rho = 1.0 / sigma;
   for (std::size_t k = 1; k < degree_; ++k) {
     // res -= A d (z just moved by d).
-    a_->apply(d, ad, threads);
-    axpy(-1.0, ad, res, threads);
+    a_->apply(d, ad);
+    axpy(-1.0, ad, res);
     const double rho_next = 1.0 / (2.0 * sigma - rho);
     const double c_d = rho_next * rho;
     const double c_res = 2.0 * rho_next / delta;
@@ -261,7 +261,7 @@ void ChebyshevPreconditioner::apply(const Vector& r, Vector& z, std::size_t thre
     if (n < util::kSerialCutoff) {
       update(0, n);
     } else {
-      util::parallel_for(n, util::kKernelGrain, update, threads);
+      util::parallel_for(n, util::kKernelGrain, update);
     }
     rho = rho_next;
   }

@@ -1,7 +1,6 @@
 /// \file preconditioner.hpp
-/// \brief Preconditioners for the Krylov solvers: Jacobi, symmetric
-/// Gauss-Seidel (SSOR with omega=1), ILU(0) and a fixed-degree Chebyshev
-/// polynomial. The FVM conduction matrix is an SPD M-matrix, so ILU(0)
+/// \brief Preconditioners for conjugate gradient: Jacobi, SSOR, ILU(0) and
+/// a fixed-degree Chebyshev polynomial. The FVM conduction matrix is an SPD M-matrix, so ILU(0)
 /// exists and is stable without pivoting.
 ///
 /// Every preconditioner owns all the data it applies — none keeps a
@@ -25,25 +24,24 @@ namespace photherm::math {
 class Preconditioner {
  public:
   virtual ~Preconditioner() = default;
-  /// `threads` as in vector_ops.hpp: 0 = util::concurrency(), 1 = serial;
-  /// results are bit-identical for every value. The elementwise (Jacobi)
-  /// and SpMV-based (Chebyshev) applies thread chunk-ordered; the
-  /// triangular-solve applies (SSOR, ILU(0)) are inherently sequential and
-  /// ignore the parameter.
-  virtual void apply(const Vector& r, Vector& z, std::size_t threads = 0) const = 0;
+  /// Results are bit-identical at every thread count. The elementwise
+  /// (Jacobi) and SpMV-based (Chebyshev) applies thread chunk-ordered at
+  /// the enclosing budget; the triangular-solve applies (SSOR, ILU(0)) are
+  /// inherently sequential.
+  virtual void apply(const Vector& r, Vector& z) const = 0;
 };
 
 /// Identity (no preconditioning).
 class IdentityPreconditioner final : public Preconditioner {
  public:
-  void apply(const Vector& r, Vector& z, std::size_t threads = 0) const override;
+  void apply(const Vector& r, Vector& z) const override;
 };
 
 /// Diagonal scaling.
 class JacobiPreconditioner final : public Preconditioner {
  public:
   explicit JacobiPreconditioner(const LinearOperator& a);
-  void apply(const Vector& r, Vector& z, std::size_t threads = 0) const override;
+  void apply(const Vector& r, Vector& z) const override;
 
  private:
   Vector inv_diag_;
@@ -57,7 +55,7 @@ class JacobiPreconditioner final : public Preconditioner {
 class SsorPreconditioner final : public Preconditioner {
  public:
   explicit SsorPreconditioner(const CsrMatrix& a, double omega = 1.0);
-  void apply(const Vector& r, Vector& z, std::size_t threads = 0) const override;
+  void apply(const Vector& r, Vector& z) const override;
 
  private:
   std::vector<std::size_t> row_ptr_;
@@ -71,7 +69,7 @@ class SsorPreconditioner final : public Preconditioner {
 class Ilu0Preconditioner final : public Preconditioner {
  public:
   explicit Ilu0Preconditioner(const CsrMatrix& a);
-  void apply(const Vector& r, Vector& z, std::size_t threads = 0) const override;
+  void apply(const Vector& r, Vector& z) const override;
 
  private:
   // Factor stored on A's pattern: strictly-lower entries hold L (unit
@@ -115,7 +113,7 @@ class ChebyshevPreconditioner final : public Preconditioner {
  public:
   explicit ChebyshevPreconditioner(const LinearOperator& a,
                                    const ChebyshevSettings& settings = {});
-  void apply(const Vector& r, Vector& z, std::size_t threads = 0) const override;
+  void apply(const Vector& r, Vector& z) const override;
 
   double lambda_max() const { return lambda_max_; }
   double lambda_min() const { return lambda_min_; }

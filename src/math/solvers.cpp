@@ -1,8 +1,5 @@
 #include "math/solvers.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <limits>
 #include <sstream>
 
 #include "util/error.hpp"
@@ -14,23 +11,21 @@ namespace photherm::math {
 namespace {
 
 SolverResult finalize(const LinearOperator& a, const Vector& b, const Vector& x,
-                      std::size_t iters, double norm_b, const SolverOptions& options,
-                      const char* name) {
+                      std::size_t iters, double norm_b, const SolverOptions& options) {
   PH_REQUIRE(options.convergence_slack >= 1.0, "convergence_slack must be >= 1");
   Vector r;
-  a.apply(x, r, options.threads);
+  a.apply(x, r);
   for (std::size_t i = 0; i < r.size(); ++i) {
     r[i] = b[i] - r[i];
   }
   SolverResult result;
   result.iterations = iters;
-  result.residual_norm = norm2(r, options.threads);
+  result.residual_norm = norm2(r);
   result.relative_residual = norm_b > 0.0 ? result.residual_norm / norm_b : result.residual_norm;
   if (telemetry::enabled()) {
-    const std::string prefix = std::string("solver.") + name;
-    telemetry::count(prefix + ".solves");
-    telemetry::count(prefix + ".iterations", iters);
-    telemetry::gauge((prefix + ".relative_residual").c_str(), result.relative_residual);
+    telemetry::count("solver.conjugate_gradient.solves");
+    telemetry::count("solver.conjugate_gradient.iterations", iters);
+    telemetry::gauge("solver.conjugate_gradient.relative_residual", result.relative_residual);
   }
   // Judged on the true residual against the tolerance the caller actually
   // requested; any loosening must be asked for via convergence_slack.
@@ -38,18 +33,11 @@ SolverResult finalize(const LinearOperator& a, const Vector& b, const Vector& x,
       result.relative_residual <= options.rel_tolerance * options.convergence_slack;
   if (!result.converged && options.throw_on_failure) {
     std::ostringstream os;
-    os << name << " failed to converge after " << iters
+    os << "conjugate_gradient failed to converge after " << iters
        << " iterations (relative residual = " << result.relative_residual << ")";
     throw SolverError(os.str());
   }
   return result;
-}
-
-/// Resolve the kernel thread count once per solve: `concurrency()` consults
-/// the environment, which is too much work to repeat on every dot/axpy of
-/// every iteration.
-std::size_t resolve_threads(const SolverOptions& options) {
-  return options.threads != 0 ? options.threads : util::concurrency();
 }
 
 /// Warm-start contract (see solvers.hpp): keep `x` as the initial guess
@@ -70,31 +58,30 @@ SolverResult conjugate_gradient(const LinearOperator& a, const Vector& b, Vector
   telemetry::Span span("solver.conjugate_gradient");
   const std::size_t n = a.rows();
   prepare_initial_guess(x, n);
-  const std::size_t threads = resolve_threads(options);
 
-  const double norm_b = norm2(b, threads);
+  const double norm_b = norm2(b);
   if (norm_b == 0.0) {
     x.assign(n, 0.0);
     return {true, 0, 0.0, 0.0, {}};
   }
 
   Vector r;
-  a.apply(x, r, threads);
+  a.apply(x, r);
   for (std::size_t i = 0; i < n; ++i) {
     r[i] = b[i] - r[i];
   }
   Vector z(n);
-  precond.apply(r, z, threads);
+  precond.apply(r, z);
   Vector p = z;
   Vector ap(n);
-  double rz = dot(r, z, threads);
+  double rz = dot(r, z);
 
   std::vector<double> history;
   std::size_t it = 0;
   for (; it < options.max_iterations; ++it) {
     // The iteration's own stopping check; record_convergence captures
     // exactly this value, so the history costs no extra norm.
-    const double rel = norm2(r, threads) / norm_b;
+    const double rel = norm2(r) / norm_b;
     if (options.record_convergence) {
       history.push_back(rel);
       telemetry::counter("solver.conjugate_gradient.residual", rel, it);
@@ -102,19 +89,19 @@ SolverResult conjugate_gradient(const LinearOperator& a, const Vector& b, Vector
     if (rel <= options.rel_tolerance) {
       break;
     }
-    a.apply(p, ap, threads);
-    const double p_ap = dot(p, ap, threads);
+    a.apply(p, ap);
+    const double p_ap = dot(p, ap);
     PH_REQUIRE(p_ap > 0.0, "CG breakdown: matrix is not positive definite");
     const double alpha = rz / p_ap;
-    axpy(alpha, p, x, threads);
-    axpy(-alpha, ap, r, threads);
-    precond.apply(r, z, threads);
-    const double rz_next = dot(r, z, threads);
+    axpy(alpha, p, x);
+    axpy(-alpha, ap, r);
+    precond.apply(r, z);
+    const double rz_next = dot(r, z);
     const double beta = rz_next / rz;
     rz = rz_next;
-    xpby(z, beta, p, threads);
+    xpby(z, beta, p);
   }
-  SolverResult result = finalize(a, b, x, it, norm_b, options, "conjugate_gradient");
+  SolverResult result = finalize(a, b, x, it, norm_b, options);
   result.convergence = std::move(history);
   return result;
 }
@@ -123,162 +110,6 @@ SolverResult conjugate_gradient(const LinearOperator& a, const Vector& b, Vector
                                 const SolverOptions& options) {
   const auto precond = make_preconditioner(options.preconditioner, a, options.chebyshev);
   return conjugate_gradient(a, b, x, *precond, options);
-}
-
-SolverResult bicgstab(const LinearOperator& a, const Vector& b, Vector& x,
-                      const Preconditioner& precond, const SolverOptions& options) {
-  PH_REQUIRE(a.rows() == a.cols(), "BiCGSTAB requires a square matrix");
-  PH_REQUIRE(b.size() == a.rows(), "BiCGSTAB: rhs size mismatch");
-  telemetry::Span span("solver.bicgstab");
-  const std::size_t n = a.rows();
-  prepare_initial_guess(x, n);
-  const std::size_t threads = resolve_threads(options);
-
-  const double norm_b = norm2(b, threads);
-  if (norm_b == 0.0) {
-    x.assign(n, 0.0);
-    return {true, 0, 0.0, 0.0, {}};
-  }
-
-  Vector r;
-  a.apply(x, r, threads);
-  for (std::size_t i = 0; i < n; ++i) {
-    r[i] = b[i] - r[i];
-  }
-  const Vector r0 = r;
-  Vector p(n, 0.0), v(n, 0.0), s(n), t(n), y(n), z(n);
-  double rho = 1.0, alpha = 1.0, omega = 1.0;
-
-  std::vector<double> history;
-  std::size_t it = 0;
-  for (; it < options.max_iterations; ++it) {
-    const double rel = norm2(r, threads) / norm_b;
-    if (options.record_convergence) {
-      history.push_back(rel);
-      telemetry::counter("solver.bicgstab.residual", rel, it);
-    }
-    if (rel <= options.rel_tolerance) {
-      break;
-    }
-    const double rho_next = dot(r0, r, threads);
-    if (std::abs(rho_next) < 1e-300) {
-      break;  // breakdown; finalize() reports the achieved residual
-    }
-    const double beta = (rho_next / rho) * (alpha / omega);
-    rho = rho_next;
-    for (std::size_t i = 0; i < n; ++i) {
-      p[i] = r[i] + beta * (p[i] - omega * v[i]);
-    }
-    precond.apply(p, y, threads);
-    a.apply(y, v, threads);
-    alpha = rho / dot(r0, v, threads);
-    for (std::size_t i = 0; i < n; ++i) {
-      s[i] = r[i] - alpha * v[i];
-    }
-    if (norm2(s, threads) / norm_b <= options.rel_tolerance) {
-      axpy(alpha, y, x, threads);
-      ++it;
-      break;
-    }
-    precond.apply(s, z, threads);
-    a.apply(z, t, threads);
-    const double tt = dot(t, t, threads);
-    if (tt == 0.0) {
-      axpy(alpha, y, x, threads);
-      ++it;
-      break;
-    }
-    omega = dot(t, s, threads) / tt;
-    for (std::size_t i = 0; i < n; ++i) {
-      x[i] += alpha * y[i] + omega * z[i];
-      r[i] = s[i] - omega * t[i];
-    }
-    if (omega == 0.0) {
-      break;
-    }
-  }
-  SolverResult result = finalize(a, b, x, it, norm_b, options, "bicgstab");
-  result.convergence = std::move(history);
-  return result;
-}
-
-SolverResult bicgstab(const LinearOperator& a, const Vector& b, Vector& x,
-                      const SolverOptions& options) {
-  const auto precond = make_preconditioner(options.preconditioner, a, options.chebyshev);
-  return bicgstab(a, b, x, *precond, options);
-}
-
-SolverResult gauss_seidel(const CsrMatrix& a, const Vector& b, Vector& x,
-                          const SolverOptions& options) {
-  PH_REQUIRE(a.rows() == a.cols(), "Gauss-Seidel requires a square matrix");
-  PH_REQUIRE(b.size() == a.rows(), "Gauss-Seidel: rhs size mismatch");
-  telemetry::Span span("solver.gauss_seidel");
-  const std::size_t n = a.rows();
-  prepare_initial_guess(x, n);
-  const auto& row_ptr = a.row_ptr();
-  const auto& col_idx = a.col_idx();
-  const auto& values = a.values();
-  const std::size_t threads = resolve_threads(options);
-  const double norm_b = norm2(b, threads);
-  if (norm_b == 0.0) {
-    x.assign(n, 0.0);
-    return {true, 0, 0.0, 0.0, {}};
-  }
-
-  std::size_t it = 0;
-  double stall_check_gate = std::numeric_limits<double>::infinity();
-  for (; it < options.max_iterations; ++it) {
-    double max_delta = 0.0;
-    double max_x = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      double diag = 0.0;
-      double acc = b[i];
-      for (std::size_t k = row_ptr[i]; k < row_ptr[i + 1]; ++k) {
-        const std::size_t j = col_idx[k];
-        if (j == i) {
-          diag = values[k];
-        } else {
-          acc -= values[k] * x[j];
-        }
-      }
-      PH_REQUIRE(diag != 0.0, "Gauss-Seidel: zero diagonal");
-      const double next = acc / diag;
-      max_delta = std::max(max_delta, std::abs(next - x[i]));
-      max_x = std::max(max_x, std::abs(next));
-      x[i] = next;
-    }
-    // The true residual is the criterion the caller asked for, but it costs
-    // an SpMV, so it is only evaluated every 10th sweep, on the final sweep
-    // (the old code could run up to 9 sweeps past `max_iterations` intent
-    // without ever checking), and whenever the cheap per-sweep update stalls
-    // below the tolerance (so the reported iteration count reflects the
-    // sweep where convergence actually happened instead of the next
-    // multiple of 10).
-    const bool update_stalled = max_delta <= options.rel_tolerance * std::max(1.0, max_x) &&
-                                max_delta <= stall_check_gate;
-    if (it % 10 == 9 || it + 1 == options.max_iterations || update_stalled) {
-      Vector r = a.multiply(x, threads);
-      for (std::size_t i = 0; i < n; ++i) {
-        r[i] = b[i] - r[i];
-      }
-      const double rel_res = norm2(r, threads) / norm_b;
-      if (rel_res <= options.rel_tolerance) {
-        ++it;
-        break;
-      }
-      // On slowly converging systems the stall proxy holds long before the
-      // residual does, and without a gate it would trigger the (SpMV-priced)
-      // check on every remaining sweep. The update and the residual decay at
-      // the same asymptotic rate, so project: skip stall checks until the
-      // update has shrunk in proportion to the remaining residual gap, with
-      // a 10x margin so per-sweep checks resume on the final approach and
-      // the reported iteration count stays minimal.
-      stall_check_gate = rel_res > 10.0 * options.rel_tolerance
-                             ? max_delta * (10.0 * options.rel_tolerance / rel_res)
-                             : std::numeric_limits<double>::infinity();
-    }
-  }
-  return finalize(a, b, x, it, norm_b, options, "gauss_seidel");
 }
 
 std::string to_string(const SolverResult& result) {

@@ -1,7 +1,8 @@
 /// \file solvers.hpp
-/// \brief Iterative linear solvers. Steady-state conduction is SPD, so CG is
-/// the workhorse; BiCGSTAB is provided for the (non-symmetric) transient
-/// operator variants and as a robustness fallback.
+/// \brief Preconditioned conjugate gradient. Every system this library
+/// solves (steady-state and transient conduction) is SPD, so CG is the one
+/// Krylov method. Solves run at the enclosing concurrency budget (see
+/// thread_pool.hpp) and are bit-identical at every thread count.
 #pragma once
 
 #include <string>
@@ -27,12 +28,8 @@ struct SolverOptions {
   /// stack) opt into a small explicit slack instead of the old behaviour of
   /// silently accepting 10x the requested tolerance.
   double convergence_slack = 1.0;
-  /// Worker threads for the SpMV / vector kernels inside the solve.
-  /// 0 = util::concurrency(); 1 = serial. Results are bit-identical for
-  /// every value (see thread_pool.hpp).
-  std::size_t threads = 0;
   /// Capture the per-iteration recursive relative residual (||r|| / ||b||
-  /// at the top of each CG/BiCGSTAB iteration, including the final accepted
+  /// at the top of each CG iteration, including the final accepted
   /// check) into SolverResult::convergence, and — when telemetry is
   /// recording — emit each sample as a plottable trace counter event
   /// (`solver.<name>.residual`). Off by default: the history allocates per
@@ -55,7 +52,7 @@ struct SolverResult {
   std::vector<double> convergence;
 };
 
-/// Warm-start contract shared by every solver below: `x` is used as the
+/// Warm-start contract of both overloads below: `x` is used as the
 /// initial guess if and only if `x.size()` already equals the system size;
 /// any other size (including empty) is reset to the zero vector. A
 /// correctly sized vector is therefore never silently truncated or padded
@@ -73,22 +70,6 @@ SolverResult conjugate_gradient(const LinearOperator& a, const Vector& b, Vector
 /// across the whole run instead of paying it per solve.
 SolverResult conjugate_gradient(const LinearOperator& a, const Vector& b, Vector& x,
                                 const Preconditioner& precond, const SolverOptions& options = {});
-
-/// Preconditioned BiCGSTAB for general (possibly non-symmetric) systems.
-SolverResult bicgstab(const LinearOperator& a, const Vector& b, Vector& x,
-                      const SolverOptions& options = {});
-
-/// BiCGSTAB with a caller-owned preconditioner (see the CG overload).
-SolverResult bicgstab(const LinearOperator& a, const Vector& b, Vector& x,
-                      const Preconditioner& precond, const SolverOptions& options = {});
-
-/// Plain Gauss-Seidel iteration (used as a smoother and in tests as an
-/// independent cross-check of CG results). The true residual is checked
-/// every 10th sweep, on the final sweep, and whenever the per-sweep update
-/// stalls below the tolerance, so the reported iteration count is within
-/// one sweep of the detection point and never exceeds `max_iterations`.
-SolverResult gauss_seidel(const CsrMatrix& a, const Vector& b, Vector& x,
-                          const SolverOptions& options = {});
 
 std::string to_string(const SolverResult& result);
 

@@ -7,8 +7,8 @@
 /// reductions (`dot`, `norm2`) accumulate fixed-size per-chunk partials and
 /// sum them in chunk order, so their result depends only on the vector
 /// size — never on the thread count — and every solver trajectory is
-/// bit-reproducible at 1, 2 or N threads. `threads == 0` means
-/// `util::concurrency()`.
+/// bit-reproducible at 1, 2 or N threads. They run at the enclosing
+/// concurrency budget (see thread_pool.hpp).
 #pragma once
 
 #include <cmath>
@@ -21,7 +21,7 @@ namespace photherm::math {
 
 using Vector = std::vector<double>;
 
-inline double dot(const Vector& a, const Vector& b, std::size_t threads = 0) {
+inline double dot(const Vector& a, const Vector& b) {
   PH_REQUIRE(a.size() == b.size(), "dot: size mismatch");
   const std::size_t n = a.size();
   if (n < util::kSerialCutoff) {
@@ -40,15 +40,15 @@ inline double dot(const Vector& a, const Vector& b, std::size_t threads = 0) {
         }
         return acc;
       },
-      [](double acc, double p) { return acc + p; }, threads);
+      [](double acc, double p) { return acc + p; });
 }
 
-inline double norm2(const Vector& a, std::size_t threads = 0) {
-  return std::sqrt(dot(a, a, threads));
+inline double norm2(const Vector& a) {
+  return std::sqrt(dot(a, a));
 }
 
 /// y += alpha * x
-inline void axpy(double alpha, const Vector& x, Vector& y, std::size_t threads = 0) {
+inline void axpy(double alpha, const Vector& x, Vector& y) {
   PH_REQUIRE(x.size() == y.size(), "axpy: size mismatch");
   if (x.size() < util::kSerialCutoff) {
     for (std::size_t i = 0; i < x.size(); ++i) {
@@ -56,18 +56,15 @@ inline void axpy(double alpha, const Vector& x, Vector& y, std::size_t threads =
     }
     return;
   }
-  util::parallel_for(
-      x.size(), util::kKernelGrain,
-      [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          y[i] += alpha * x[i];
-        }
-      },
-      threads);
+  util::parallel_for(x.size(), util::kKernelGrain, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      y[i] += alpha * x[i];
+    }
+  });
 }
 
 /// y = x + beta * y
-inline void xpby(const Vector& x, double beta, Vector& y, std::size_t threads = 0) {
+inline void xpby(const Vector& x, double beta, Vector& y) {
   PH_REQUIRE(x.size() == y.size(), "xpby: size mismatch");
   if (x.size() < util::kSerialCutoff) {
     for (std::size_t i = 0; i < x.size(); ++i) {
@@ -75,14 +72,11 @@ inline void xpby(const Vector& x, double beta, Vector& y, std::size_t threads = 
     }
     return;
   }
-  util::parallel_for(
-      x.size(), util::kKernelGrain,
-      [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          y[i] = x[i] + beta * y[i];
-        }
-      },
-      threads);
+  util::parallel_for(x.size(), util::kKernelGrain, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      y[i] = x[i] + beta * y[i];
+    }
+  });
 }
 
 inline void scale(double alpha, Vector& x) {

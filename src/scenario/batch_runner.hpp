@@ -17,7 +17,9 @@
 namespace photherm::scenario {
 
 struct BatchOptions {
-  /// Concurrent scenario evaluations. 0 = util::concurrency(); 1 = serial.
+  /// Width of the batch: the concurrency budget of everything it runs
+  /// (scenarios, their ONI windows, the solver kernels), which inherit it
+  /// (util/thread_pool.hpp). 0 = util::concurrency(); 1 = one core.
   std::size_t threads = 0;
   /// Coarse-solve cache: share the global ThermalField across scenarios
   /// with equal scene keys. Off solves every scenario cold; the reports are

@@ -21,7 +21,9 @@
 namespace photherm::timeline {
 
 struct TimelineBatchOptions {
-  /// Concurrent scenario playbacks. 0 = util::concurrency(); 1 = serial.
+  /// Width of the batch: the concurrency budget of every playback and the
+  /// solver kernels inside it, which inherit it (util/thread_pool.hpp).
+  /// 0 = util::concurrency(); 1 = one core.
   std::size_t threads = 0;
   PlaybackOptions playback;
   /// Pause every playback after at most this many (further) steps and

@@ -193,15 +193,9 @@ const std::vector<std::pair<std::string, std::string>>& catalog() {
       {"precond.jacobi.builds", "counter"},
       {"precond.ssor.applies", "counter"},
       {"precond.ssor.builds", "counter"},
-      {"solver.bicgstab.iterations", "counter"},
-      {"solver.bicgstab.relative_residual", "gauge"},
-      {"solver.bicgstab.solves", "counter"},
       {"solver.conjugate_gradient.iterations", "counter"},
       {"solver.conjugate_gradient.relative_residual", "gauge"},
       {"solver.conjugate_gradient.solves", "counter"},
-      {"solver.gauss_seidel.iterations", "counter"},
-      {"solver.gauss_seidel.relative_residual", "gauge"},
-      {"solver.gauss_seidel.solves", "counter"},
       {"spmv.csr", "counter"},
       {"spmv.stencil", "counter"},
       {"transient.preconditioner_builds", "counter"},

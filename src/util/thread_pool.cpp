@@ -32,9 +32,44 @@ std::size_t default_concurrency() {
   return hw > 0 ? static_cast<std::size_t>(hw) : 1;
 }
 
-/// Set while a thread is executing pool work; nested parallel regions run
-/// inline on it instead of waiting on the pool (which could deadlock).
-thread_local bool t_in_pool_worker = false;
+/// Width budget of the region whose chunk this thread is running: 0 outside
+/// any region (then `concurrency()` applies), 1 inside a region that fanned
+/// out over several executors, the region's width when it ran on the caller
+/// alone. A pool worker always runs at 1, so it never re-enters the pool.
+thread_local std::size_t t_budget = 0;
+
+/// Sets this thread's budget for one scope; restores it even if a chunk throws.
+class BudgetScope {
+ public:
+  explicit BudgetScope(std::size_t budget) : saved_(t_budget) { t_budget = budget; }
+  ~BudgetScope() { t_budget = saved_; }
+  BudgetScope(const BudgetScope&) = delete;
+  BudgetScope& operator=(const BudgetScope&) = delete;
+
+ private:
+  std::size_t saved_;
+};
+
+/// Width of a region that asks for `threads` (0 = inherit). Inside a region
+/// it is `min(threads, budget)`, one thread-local read; outside any region
+/// an explicit count stands and `concurrency()` is the default.
+std::size_t region_width(std::size_t threads) {
+  if (t_budget != 0) {
+    return threads != 0 && threads < t_budget ? threads : t_budget;
+  }
+  return std::min(threads != 0 ? threads : concurrency(), kMaxThreads);
+}
+
+/// A region that runs on the caller alone (width 1, or one chunk): the
+/// caller keeps the region's width for the regions its chunks issue, so a
+/// width-1 region is serial all the way down.
+template <typename ChunkFn>
+void run_alone(std::size_t width, std::size_t chunk_count, const ChunkFn& chunk_fn) {
+  BudgetScope scope(width);
+  for (std::size_t i = 0; i < chunk_count; ++i) {
+    chunk_fn(i);
+  }
+}
 
 }  // namespace
 
@@ -117,9 +152,8 @@ struct ThreadPool::Impl {
               "pool.queue_wait",
               static_cast<std::uint64_t>(telemetry::detail::now_ns() - current->publish_ns));
         }
-        t_in_pool_worker = true;
+        BudgetScope scope(1);
         current->execute_chunks();
-        t_in_pool_worker = false;
       }
       lock.lock();
     }
@@ -167,22 +201,15 @@ void ThreadPool::run(std::size_t chunk_count, std::size_t max_threads,
   if (chunk_count == 0) {
     return;
   }
-  if (max_threads == 0) {
-    max_threads = concurrency();
-  }
-  max_threads = std::min(max_threads, kMaxThreads);
-  // Serial paths: a single chunk, a single-thread request, or a nested call
-  // from a worker (re-entering the pool from a worker could deadlock).
-  if (chunk_count == 1 || max_threads <= 1 || t_in_pool_worker) {
-    for (std::size_t i = 0; i < chunk_count; ++i) {
-      chunk_fn(i);
-    }
+  const std::size_t width = region_width(max_threads);
+  if (chunk_count == 1 || width == 1) {
+    run_alone(width, chunk_count, chunk_fn);
     return;
   }
 
   // More executors than chunks would spawn persistent workers (the pool
   // never shrinks) that can never receive work.
-  const std::size_t executors = std::min(max_threads, chunk_count);
+  const std::size_t executors = std::min(width, chunk_count);
   ensure_size(executors - 1);
   auto job = std::make_shared<Impl::Job>();
   job->fn = chunk_fn;
@@ -198,13 +225,14 @@ void ThreadPool::run(std::size_t chunk_count, std::size_t max_threads,
   }
   impl_->job_cv.notify_all();
 
-  // The caller is an executor too, and counts as a pool worker while it
-  // drains chunks: a nested parallel region issued from its chunk must run
-  // inline (like it would on any other worker) instead of re-entering the
-  // pool and displacing this job from the single job slot.
-  t_in_pool_worker = true;
-  job->execute_chunks();
-  t_in_pool_worker = false;
+  // The caller is an executor too, and runs its chunks at budget 1 like
+  // every other executor: a nested region issued from its chunk runs inline
+  // instead of re-entering the pool and displacing this job from the single
+  // job slot.
+  {
+    BudgetScope scope(1);
+    job->execute_chunks();
+  }
 
   {
     std::unique_lock<std::mutex> lock(job->wait_mutex);
@@ -237,24 +265,21 @@ void parallel_for(std::size_t count, std::size_t grain,
     return;
   }
   PH_REQUIRE(grain > 0, "parallel_for: grain must be positive");
-  if (threads == 0) {
-    threads = concurrency();
-  }
+  const std::size_t width = region_width(threads);
   const std::size_t chunks = (count + grain - 1) / grain;
   auto run_chunk = [&](std::size_t chunk) {
     const std::size_t begin = chunk * grain;
     const std::size_t end = begin + grain < count ? begin + grain : count;
     body(begin, end);
   };
-  if (chunks == 1 || threads <= 1 || t_in_pool_worker) {
-    // Same chunk boundaries as the parallel path so reductions that key off
-    // chunk indices stay bit-identical across thread counts.
-    for (std::size_t chunk = 0; chunk < chunks; ++chunk) {
-      run_chunk(chunk);
-    }
+  if (chunks == 1 || width == 1) {
+    // ThreadPool::run's serial path without touching the pool. The chunk
+    // boundaries are the parallel path's, so reductions that key off chunk
+    // indices stay bit-identical across widths.
+    run_alone(width, chunks, run_chunk);
     return;
   }
-  ThreadPool::shared().run(chunks, threads, run_chunk);
+  ThreadPool::shared().run(chunks, width, run_chunk);
 }
 
 }  // namespace photherm::util

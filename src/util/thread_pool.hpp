@@ -1,9 +1,10 @@
 /// \file thread_pool.hpp
-/// \brief Shared thread pool and deterministic parallel-for.
+/// \brief Shared thread pool, deterministic parallel-for, and the one
+/// concurrency budget.
 ///
-/// The sweep engines (design-space grids, calibration plans) and the math
-/// kernels (SpMV, vector ops) dispatch onto one process-wide pool. Two
-/// properties are guaranteed:
+/// The sweep engines (design-space grids, calibration plans, scenario and
+/// timeline batches) and the math kernels (SpMV, vector ops) dispatch onto
+/// one process-wide pool. Three properties are guaranteed:
 ///
 ///  1. **Determinism.** `parallel_for` always partitions the index range
 ///     into the same chunks for a given (range, grain) pair, independent of
@@ -11,9 +12,19 @@
 ///     ranges, and reductions accumulate per-chunk partials that are summed
 ///     in chunk order, so every result is bit-identical at 1, 2 or N
 ///     threads (and identical to the serial code path).
-///  2. **No nested oversubscription.** A `parallel_for` issued from inside
-///     a pool worker (e.g. an SpMV inside a parallel sweep task) runs
-///     inline on the calling worker instead of re-entering the pool.
+///  2. **One budget.** The width of the enclosing region is the only
+///     concurrency budget. `concurrency()` (`set_concurrency`,
+///     `PHOTHERM_THREADS`) is the default for a region issued outside any
+///     other; an entry point may pass its own width instead. Every region
+///     issued inside another inherits the enclosing width and can only
+///     narrow it, so nothing below an entry point takes a thread count.
+///  3. **No nested oversubscription.** A region that fans out over several
+///     executors runs every chunk, the caller's included, at budget 1:
+///     its nested regions (an SpMV inside a parallel sweep task) run inline
+///     on that executor. A region that runs on the caller alone (width 1,
+///     or a single chunk) hands its whole width down, so a width-1 region
+///     is serial all the way down and a single scenario at width 4 still
+///     parallelises its inner solves.
 ///
 /// The pool is work-stealing-free by design: chunks are handed out from a
 /// single atomic cursor, which is cheap at the grain sizes used here and
@@ -27,11 +38,12 @@
 namespace photherm::util {
 
 /// Hard ceiling on pool workers. Requests beyond it (a typo'd
-/// `PHOTHERM_THREADS=100000`, a huge `threads` option) are clamped instead
+/// `PHOTHERM_THREADS=100000`, a huge entry-point width) are clamped instead
 /// of spawning OS threads until creation fails.
 inline constexpr std::size_t kMaxThreads = 256;
 
-/// Process-wide concurrency knob. Resolution order: the value set by
+/// Process-wide concurrency knob: the width of a region issued outside any
+/// other that names no width itself. Resolution order: the value set by
 /// `set_concurrency` (if non-zero), else the `PHOTHERM_THREADS` environment
 /// variable (if set and positive), else `std::thread::hardware_concurrency`.
 /// Always at least 1, at most `kMaxThreads`.
@@ -56,10 +68,11 @@ class ThreadPool {
   std::size_t size() const;
 
   /// Execute `chunk_fn(0) .. chunk_fn(chunk_count - 1)`, each exactly once,
-  /// across at most `max_threads` executors (including the caller). Blocks
-  /// until every chunk finished. The first exception thrown by a chunk is
-  /// rethrown on the caller after all chunks complete or drain. Calls from
-  /// inside a pool worker run inline (serially) on that worker.
+  /// across at most `max_threads` executors (including the caller; 0
+  /// inherits the budget, see the file comment). Blocks until every chunk
+  /// finished. The first exception thrown by a chunk is rethrown on the
+  /// caller after all chunks complete or drain. Calls from inside a pool
+  /// worker run inline (serially) on that worker.
   ///
   /// The pool holds a single job slot: results stay correct if two
   /// application threads issue top-level regions concurrently (each caller
@@ -85,9 +98,11 @@ class ThreadPool {
 /// Deterministic chunked parallel loop over `[0, count)` on the shared
 /// pool. `body(begin, end)` is invoked once per chunk of at most `grain`
 /// consecutive indices; chunk boundaries depend only on `count` and
-/// `grain`, never on `threads`, so per-chunk reductions are reproducible
-/// across thread counts. `threads == 0` means `concurrency()`; `1` runs
-/// serially without touching the pool (same chunk boundaries).
+/// `grain`, never on the width, so per-chunk reductions are reproducible
+/// across thread counts. `threads` is the region's width: 0 inherits the
+/// budget, anything else can only narrow it. Entry points pass their width
+/// here; everything below them leaves it at 0. A region that runs on the
+/// caller alone skips the pool (same chunk boundaries).
 void parallel_for(std::size_t count, std::size_t grain,
                   const std::function<void(std::size_t, std::size_t)>& body,
                   std::size_t threads = 0);
@@ -98,18 +113,18 @@ void parallel_for(std::size_t count, std::size_t grain,
 /// `init`. Because neither the chunking nor the combine order depends on the
 /// thread count, the result is bit-identical at 1, 2 or N threads. This is
 /// the one place the chunk-index bookkeeping lives; the reductions in the
-/// math kernels and calibration plans all go through it.
+/// math kernels and calibration plans all go through it. Runs at the
+/// inherited budget.
 template <typename T, typename ChunkFn, typename CombineFn>
 T parallel_reduce(std::size_t count, std::size_t grain, T init, const ChunkFn& chunk_fn,
-                  const CombineFn& combine, std::size_t threads = 0) {
+                  const CombineFn& combine) {
   if (count == 0) {
     return init;
   }
   std::vector<T> partial((count + grain - 1) / grain);
-  parallel_for(
-      count, grain,
-      [&](std::size_t begin, std::size_t end) { partial[begin / grain] = chunk_fn(begin, end); },
-      threads);
+  parallel_for(count, grain, [&](std::size_t begin, std::size_t end) {
+    partial[begin / grain] = chunk_fn(begin, end);
+  });
   T acc = init;
   for (const T& p : partial) {
     acc = combine(acc, p);

@@ -1,7 +1,8 @@
 /// \file fixtures.hpp
 /// \brief Shared scene/spec builders for the test suites. Keeps the
-/// "uniform slab + block heater" and "coarse OnocDesignSpec" setups in one
-/// place instead of re-declaring them in every test file.
+/// "uniform slab + block heater" and "coarse OnocDesignSpec" setups, and the
+/// scoped concurrency override, in one place instead of re-declaring them in
+/// every test file.
 #pragma once
 
 #include <memory>
@@ -11,8 +12,21 @@
 #include "core/design_space.hpp"
 #include "geometry/stack.hpp"
 #include "mesh/mesh.hpp"
+#include "util/thread_pool.hpp"
 
 namespace photherm::fixtures {
+
+/// Sets the process concurrency knob (`util::set_concurrency`) for one scope
+/// and restores the environment/hardware default on exit, so tests stay
+/// isolated. A 1-vs-N determinism test runs the same call under guards of
+/// different widths; every region below inherits the width.
+class ConcurrencyGuard {
+ public:
+  explicit ConcurrencyGuard(std::size_t threads = 0) { util::set_concurrency(threads); }
+  ~ConcurrencyGuard() { util::set_concurrency(0); }
+  ConcurrencyGuard(const ConcurrencyGuard&) = delete;
+  ConcurrencyGuard& operator=(const ConcurrencyGuard&) = delete;
+};
 
 /// Uniform single-material slab, footprint `a` x `a`, thickness `t`.
 inline geometry::Scene uniform_slab(double a, double t,

@@ -6,7 +6,8 @@
 # well-formed Chrome trace-event JSON with labeled pool workers; the
 # metrics CSV must carry solver-iteration, cache-hit and per-scenario
 # wall-time rows. A cached `run` leg checks the cache-hit counters count
-# real hits, not just seeded zeros.
+# real hits, not just seeded zeros. A last leg checks that `--threads 1`
+# is the budget of the whole run even when PHOTHERM_THREADS is wider.
 
 foreach(var PHOTHERM_CLI WORK_DIR)
   if(NOT DEFINED ${var})
@@ -111,3 +112,40 @@ require_match(${WORK_DIR}/batch_metrics.csv
               "batch\\.scenario\\.wall,timer,[1-9][0-9]*" "batch wall-time observations")
 require_match(${WORK_DIR}/batch_trace.json
               "\"ph\":\"X\",\"name\":\"batch\\.scenario\"" "batch scenario spans")
+
+# Truthful thread count: under PHOTHERM_THREADS=4, `--threads 1` is the
+# budget of every nested region (scenarios, ONI windows, solver kernels), so
+# every span lands on the main thread and the manifest says so. The output
+# matches a 4-thread run byte for byte.
+execute_process(
+  COMMAND ${CMAKE_COMMAND} -E env PHOTHERM_THREADS=4
+          ${PHOTHERM_CLI} run builtin:smoke --threads 1 -o ${WORK_DIR}/budget1.csv
+          --trace ${WORK_DIR}/budget1_trace.json
+  RESULT_VARIABLE rv)
+if(NOT rv EQUAL 0)
+  message(FATAL_ERROR "PHOTHERM_THREADS=4 photherm_cli run --threads 1 failed with exit code ${rv}")
+endif()
+run_cli(run builtin:smoke --threads 4 -o ${WORK_DIR}/budget4.csv)
+file(READ ${WORK_DIR}/budget1.csv budget1_csv)
+file(READ ${WORK_DIR}/budget4.csv budget4_csv)
+if(NOT budget1_csv STREQUAL budget4_csv)
+  message(FATAL_ERROR "run builtin:smoke output differs between --threads 1 and --threads 4")
+endif()
+require_match(${WORK_DIR}/budget1_trace.json "\"threads\":\"1\""
+              "the enforced thread count in the manifest")
+file(READ ${WORK_DIR}/budget1_trace.json budget1_trace)
+if(NOT budget1_trace MATCHES "\"tid\":([0-9]+),\"args\":{\"name\":\"main\"}")
+  message(FATAL_ERROR "budget1_trace.json: no thread labeled `main`")
+endif()
+set(main_tid ${CMAKE_MATCH_1})
+string(REGEX MATCHALL "\"ph\":\"X\",\"name\":\"[^\"]*\",\"pid\":[0-9]+,\"tid\":[0-9]+"
+       budget1_spans "${budget1_trace}")
+list(LENGTH budget1_spans span_count)
+if(span_count EQUAL 0)
+  message(FATAL_ERROR "budget1_trace.json: no spans recorded")
+endif()
+foreach(span IN LISTS budget1_spans)
+  if(NOT span MATCHES "\"tid\":${main_tid}$")
+    message(FATAL_ERROR "--threads 1 ran a span off the main thread: ${span}")
+  endif()
+endforeach()

@@ -78,8 +78,8 @@ TEST(Stencil, MatchesCsrOnNonUniformMeshWithAllBcFaces) {
   const std::size_t n = mesh.cell_count();
   const Vector x = random_vector(n, 3);
   Vector y_csr, y_stencil;
-  csr.matrix.apply(x, y_csr, 1);
-  stencil.op.apply(x, y_stencil, 1);
+  csr.matrix.apply(x, y_csr);
+  stencil.op.apply(x, y_stencil);
   double scale = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
     scale = std::max(scale, std::abs(y_csr[i]));
@@ -100,8 +100,8 @@ TEST(Stencil, FromCsrAppliesBitIdenticallyToCsr) {
   // kernel reproduces the CSR SpMV exactly, not just approximately.
   const Vector x = random_vector(mesh.cell_count(), 11);
   Vector y_csr, y_stencil;
-  csr.matrix.apply(x, y_csr, 1);
-  op.apply(x, y_stencil, 1);
+  csr.matrix.apply(x, y_csr);
+  op.apply(x, y_stencil);
   EXPECT_EQ(y_csr, y_stencil);
   EXPECT_EQ(csr.matrix.diagonal(), op.diagonal());
 }
@@ -134,12 +134,15 @@ TEST(Stencil, ApplyIsBitIdenticalAcrossThreadCounts) {
   const thermal::StencilSystem stencil = thermal::assemble_stencil(mesh, bcs);
   const Vector x = random_vector(mesh.cell_count(), 17);
 
-  Vector y1, y2, y4;
-  stencil.op.apply(x, y1, 1);
-  stencil.op.apply(x, y2, 2);
-  stencil.op.apply(x, y4, 4);
-  EXPECT_EQ(y1, y2);
-  EXPECT_EQ(y1, y4);
+  const auto apply_at = [&](std::size_t threads) {
+    fixtures::ConcurrencyGuard guard(threads);
+    Vector y;
+    stencil.op.apply(x, y);
+    return y;
+  };
+  const Vector y1 = apply_at(1);
+  EXPECT_EQ(y1, apply_at(2));
+  EXPECT_EQ(y1, apply_at(4));
 }
 
 TEST(Stencil, AddToDiagonalShiftsOnlyTheDiagonal) {
@@ -200,7 +203,7 @@ TEST(Stencil, GershgorinBoundContainsJacobiScaledSpectrum) {
   Vector av(n);
   double estimate = 0.0;
   for (int iter = 0; iter < 30; ++iter) {
-    stencil.op.apply(v, av, 1);
+    stencil.op.apply(v, av);
     double norm = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
       av[i] *= inv_diag[i];
@@ -232,8 +235,8 @@ TEST(Chebyshev, PreconditionerIsSymmetric) {
   const Vector u = random_vector(n, 5);
   const Vector v = random_vector(n, 6);
   Vector mu, mv;
-  precond.apply(u, mu, 1);
-  precond.apply(v, mv, 1);
+  precond.apply(u, mu);
+  precond.apply(v, mv);
   double left = 0.0, right = 0.0, mag = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
     left += mu[i] * v[i];
@@ -255,8 +258,8 @@ TEST(Chebyshev, SameResultOnCsrAndStencilForms) {
 
   const Vector r = random_vector(mesh.cell_count(), 9);
   Vector z_csr, z_stencil;
-  from_csr_matrix.apply(r, z_csr, 1);
-  from_stencil.apply(r, z_stencil, 1);
+  from_csr_matrix.apply(r, z_csr);
+  from_stencil.apply(r, z_stencil);
   EXPECT_EQ(z_csr, z_stencil);
 }
 
@@ -272,12 +275,15 @@ TEST(Chebyshev, ApplyIsBitIdenticalAcrossThreadCounts) {
   const ChebyshevPreconditioner precond(stencil.op);
 
   const Vector r = random_vector(mesh.cell_count(), 31);
-  Vector z1, z2, z4;
-  precond.apply(r, z1, 1);
-  precond.apply(r, z2, 2);
-  precond.apply(r, z4, 4);
-  EXPECT_EQ(z1, z2);
-  EXPECT_EQ(z1, z4);
+  const auto apply_at = [&](std::size_t threads) {
+    fixtures::ConcurrencyGuard guard(threads);
+    Vector z;
+    precond.apply(r, z);
+    return z;
+  };
+  const Vector z1 = apply_at(1);
+  EXPECT_EQ(z1, apply_at(2));
+  EXPECT_EQ(z1, apply_at(4));
 }
 
 TEST(Chebyshev, StencilCgMatchesIlu0CsrField) {

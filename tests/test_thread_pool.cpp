@@ -3,23 +3,23 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <stdexcept>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "math/csr_matrix.hpp"
 #include "math/vector_ops.hpp"
+#include "support/fixtures.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace photherm::util {
 namespace {
 
-/// Restores the concurrency override on scope exit so tests stay isolated.
-class ConcurrencyGuard {
- public:
-  ~ConcurrencyGuard() { set_concurrency(0); }
-};
+using fixtures::ConcurrencyGuard;
 
 TEST(Concurrency, DefaultsToAtLeastOne) {
   ConcurrencyGuard guard;
@@ -118,16 +118,85 @@ TEST(ParallelFor, PropagatesExceptions) {
 }
 
 TEST(ParallelFor, NestedCallsRunInline) {
+  // Every executor of a region that fans out, the caller included, runs its
+  // chunks at budget 1: a nested region completes inline on its enclosing
+  // chunk's thread, without deadlocking the pool.
   std::atomic<int> total{0};
+  std::atomic<int> off_thread{0};
   parallel_for(
       8, 1,
       [&](std::size_t, std::size_t) {
-        // Nested region: must complete inline without deadlocking the pool.
-        parallel_for(16, 4, [&](std::size_t b, std::size_t e) { total += static_cast<int>(e - b); },
-                     4);
+        const std::thread::id outer = std::this_thread::get_id();
+        parallel_for(
+            16, 4,
+            [&](std::size_t b, std::size_t e) {
+              total += static_cast<int>(e - b);
+              if (std::this_thread::get_id() != outer) {
+                ++off_thread;
+              }
+            },
+            4);
       },
       4);
   EXPECT_EQ(total.load(), 8 * 16);
+  EXPECT_EQ(off_thread.load(), 0);
+}
+
+TEST(ParallelFor, WidthOneRegionIsSerialAllTheWayDown) {
+  // The process default is 4, but a width-1 region is the budget of
+  // everything it issues: no nested chunk may leave the calling thread.
+  // Each nested chunk sleeps briefly so that idle pool workers, were the
+  // nested region allowed to use them, would wake up and take some.
+  ConcurrencyGuard guard(4);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> off_thread{0};
+  parallel_for(
+      2, 1,
+      [&](std::size_t, std::size_t) {
+        parallel_for(16, 1, [&](std::size_t, std::size_t) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+          if (std::this_thread::get_id() != caller) {
+            ++off_thread;
+          }
+        });
+      },
+      1);
+  EXPECT_EQ(off_thread.load(), 0);
+}
+
+/// True iff the two chunks of a nested 2-chunk region ran at the same time:
+/// each waits (bounded) for the other to start, which only a region that
+/// fans out over two executors can satisfy.
+bool nested_region_fans_out() {
+  std::atomic<int> started{0};
+  std::atomic<int> met{0};
+  parallel_for(2, 1, [&](std::size_t, std::size_t) {
+    ++started;
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (started.load() < 2 && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    if (started.load() == 2) {
+      ++met;
+    }
+  });
+  return met.load() == 2;
+}
+
+TEST(ParallelFor, OneChunkRegionHandsItsWidthDown) {
+  // A region that runs on the caller alone keeps its whole width for the
+  // regions it issues, whether that width is the process default ...
+  {
+    ConcurrencyGuard guard(4);
+    bool fanned = false;
+    parallel_for(1, 1, [&](std::size_t, std::size_t) { fanned = nested_region_fans_out(); }, 4);
+    EXPECT_TRUE(fanned);
+  }
+  // ... or an entry point's explicit width above it.
+  ConcurrencyGuard guard(1);
+  bool fanned = false;
+  parallel_for(1, 1, [&](std::size_t, std::size_t) { fanned = nested_region_fans_out(); }, 4);
+  EXPECT_TRUE(fanned);
 }
 
 TEST(ThreadPool, RunExecutesAllChunksAndRethrows) {
@@ -174,13 +243,18 @@ TEST(DeterministicKernels, DotIsBitIdenticalAcrossThreadCounts) {
     a[i] = rng.uniform(-1.0, 1.0);
     b[i] = rng.uniform(-1.0, 1.0);
   }
-  const double d1 = math::dot(a, b, 1);
-  const double d2 = math::dot(a, b, 2);
-  const double d8 = math::dot(a, b, 8);
-  EXPECT_EQ(d1, d2);
-  EXPECT_EQ(d1, d8);
-  const double n1 = math::norm2(a, 1);
-  EXPECT_EQ(n1, math::norm2(a, 4));
+  const auto dot_at = [&](std::size_t threads) {
+    ConcurrencyGuard guard(threads);
+    return math::dot(a, b);
+  };
+  const auto norm_at = [&](std::size_t threads) {
+    ConcurrencyGuard guard(threads);
+    return math::norm2(a);
+  };
+  const double d1 = dot_at(1);
+  EXPECT_EQ(d1, dot_at(2));
+  EXPECT_EQ(d1, dot_at(8));
+  EXPECT_EQ(norm_at(1), norm_at(4));
 }
 
 TEST(DeterministicKernels, AxpyAndXpbyAreBitIdenticalAcrossThreadCounts) {
@@ -191,13 +265,15 @@ TEST(DeterministicKernels, AxpyAndXpbyAreBitIdenticalAcrossThreadCounts) {
     x[i] = rng.uniform(-1.0, 1.0);
     y0[i] = rng.uniform(-1.0, 1.0);
   }
-  math::Vector y1 = y0, y4 = y0;
-  math::axpy(0.37, x, y1, 1);
-  math::axpy(0.37, x, y4, 4);
-  EXPECT_EQ(y1, y4);
-  math::xpby(x, -0.61, y1, 1);
-  math::xpby(x, -0.61, y4, 4);
-  EXPECT_EQ(y1, y4);
+  const auto axpy_then_xpby_at = [&](std::size_t threads) {
+    ConcurrencyGuard guard(threads);
+    math::Vector y = y0;
+    math::axpy(0.37, x, y);
+    const math::Vector after_axpy = y;
+    math::xpby(x, -0.61, y);
+    return std::make_pair(after_axpy, y);
+  };
+  EXPECT_EQ(axpy_then_xpby_at(1), axpy_then_xpby_at(4));
 }
 
 TEST(DeterministicKernels, SpmvIsBitIdenticalAcrossThreadCounts) {
@@ -218,12 +294,13 @@ TEST(DeterministicKernels, SpmvIsBitIdenticalAcrossThreadCounts) {
   for (double& v : x) {
     v = rng.uniform(-1.0, 1.0);
   }
-  math::Vector y1, y2, y8;
-  a.multiply(x, y1, 1);
-  a.multiply(x, y2, 2);
-  a.multiply(x, y8, 8);
-  EXPECT_EQ(y1, y2);
-  EXPECT_EQ(y1, y8);
+  const auto multiply_at = [&](std::size_t threads) {
+    ConcurrencyGuard guard(threads);
+    return a.multiply(x);
+  };
+  const math::Vector y1 = multiply_at(1);
+  EXPECT_EQ(y1, multiply_at(2));
+  EXPECT_EQ(y1, multiply_at(8));
 }
 
 }  // namespace

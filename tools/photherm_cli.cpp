@@ -77,6 +77,8 @@ int usage(std::ostream& os, int exit_code) {
         "                                           time-series CSV\n"
         "  diff <a.csv> <b.csv> [--tol REL]         numeric CSV comparison\n"
         "a <suite> is a scenario file path or builtin:<name> (see `list`).\n"
+        "--threads N bounds every thread the run uses, nested solves included\n"
+        "(default: PHOTHERM_THREADS, else all cores).\n"
         "--trace writes a Chrome trace-event JSON (Perfetto/chrome://tracing),\n"
         "--metrics a metrics CSV; neither changes the scenario CSV output.\n"
         "Both embed a run manifest (git sha, build type, suite, threads) that\n"
@@ -189,7 +191,8 @@ void set_run_manifest(const char* command, const CommonArgs& parsed,
   scenarios << scenario_count;
   telemetry::set_manifest("scenario_count", scenarios.str());
   std::ostringstream threads;
-  threads << (parsed.threads != 0 ? parsed.threads : util::concurrency());
+  threads << (parsed.threads != 0 ? std::min(parsed.threads, util::kMaxThreads)
+                                  : util::concurrency());
   telemetry::set_manifest("threads", threads.str());
 }
 
