@@ -1,28 +1,25 @@
-/// Timing benchmarks (google-benchmark) of the numerical core: sparse
-/// matrix-vector products (CSR and matrix-free stencil), the preconditioned
-/// solvers swept over preconditioner kind x operator kind, assembly, and the
-/// transient hot path: repeated warm-started solves against a fixed stepping
-/// operator, where the preconditioner caching and the Chebyshev rebuild
-/// economics actually show up.
+/// Timing benchmarks (google-benchmark) of the numerical core: the CSR
+/// sparse matrix-vector product, CG swept over preconditioner kind,
+/// Chebyshev degree tuning, assembly, and the transient hot path: repeated
+/// warm-started solves against a fixed stepping matrix, where preconditioner
+/// caching actually shows up.
 #include <benchmark/benchmark.h>
 
-#include <string>
+#include <memory>
 
 #include "geometry/stack.hpp"
 #include "math/preconditioner.hpp"
 #include "math/solvers.hpp"
-#include "math/stencil_operator.hpp"
 #include "thermal/fvm.hpp"
+#include "thermal/transient.hpp"
 
 using namespace photherm;
 
 namespace {
 
-/// A silicon slab with a hotspot, meshed at `cell` resolution; both operator
-/// forms assembled from the same mesh.
+/// A silicon slab with a hotspot, meshed at `cell` resolution.
 struct BenchSystems {
   thermal::DiscreteSystem csr;
-  thermal::StencilSystem stencil;
   std::size_t cells = 0;
 };
 
@@ -44,9 +41,7 @@ BenchSystems make_systems(double cell) {
   const auto mesh = mesh::RectilinearMesh::build(scene, options);
   thermal::BoundarySet bcs;
   bcs[thermal::Face::kZMax] = thermal::FaceBc::convection(5e3, 30.0);
-  BenchSystems out{thermal::assemble(mesh, bcs), thermal::assemble_stencil(mesh, bcs),
-                   mesh.cell_count()};
-  return out;
+  return BenchSystems{thermal::assemble(mesh, bcs), mesh.cell_count()};
 }
 
 void BM_SpMV(benchmark::State& state) {
@@ -63,66 +58,30 @@ void BM_SpMV(benchmark::State& state) {
 }
 BENCHMARK(BM_SpMV)->Arg(16)->Arg(32)->Arg(64);
 
-void BM_SpMVStencil(benchmark::State& state) {
-  const auto systems = make_systems(2e-3 / static_cast<double>(state.range(0)));
-  math::Vector x(systems.stencil.op.cols(), 1.0);
-  math::Vector y(systems.stencil.op.rows());
-  for (auto _ : state) {
-    systems.stencil.op.apply(x, y);
-    benchmark::DoNotOptimize(y.data());
-  }
-  state.counters["cells"] = static_cast<double>(systems.cells);
-  // Same nominal work as the CSR product on the same mesh.
-  state.SetItemsProcessed(
-      static_cast<int64_t>(state.iterations() * systems.csr.matrix.nnz()));
-}
-BENCHMARK(BM_SpMVStencil)->Arg(16)->Arg(32)->Arg(64);
-
-/// CG sweep: every preconditioner kind on both operator forms (SSOR and
-/// ILU(0) need explicit sparsity, so they run on CSR only). The label names
-/// the combination; counters report cells and iterations to convergence.
+/// CG sweep over every preconditioner kind. The label names the kind;
+/// counters report cells and iterations to convergence.
 void BM_CgSweep(benchmark::State& state) {
   const auto kind = static_cast<math::PreconditionerKind>(state.range(1));
-  const auto op_kind = static_cast<thermal::OperatorKind>(state.range(2));
   const auto systems = make_systems(2e-3 / static_cast<double>(state.range(0)));
-  const math::LinearOperator& a =
-      op_kind == thermal::OperatorKind::kStencil
-          ? static_cast<const math::LinearOperator&>(systems.stencil.op)
-          : systems.csr.matrix;
   std::size_t iterations = 0;
   for (auto _ : state) {
     math::Vector x;
     math::SolverOptions options;
     options.preconditioner = kind;
-    const auto result = math::conjugate_gradient(a, systems.csr.rhs, x, options);
+    const auto result = math::conjugate_gradient(systems.csr.matrix, systems.csr.rhs, x, options);
     iterations = result.iterations;
     benchmark::DoNotOptimize(result.iterations);
   }
-  state.SetLabel(std::string(math::to_string(kind)) + "/" +
-                 std::string(thermal::to_string(op_kind)));
+  state.SetLabel(math::to_string(kind));
   state.counters["cells"] = static_cast<double>(systems.cells);
   state.counters["iters"] = static_cast<double>(iterations);
 }
 
-void CgSweepArgs(benchmark::internal::Benchmark* b) {
-  using math::PreconditionerKind;
-  using thermal::OperatorKind;
-  for (int64_t n : {32, 64}) {
-    for (const PreconditionerKind kind :
-         {PreconditionerKind::kIdentity, PreconditionerKind::kJacobi,
-          PreconditionerKind::kSsor, PreconditionerKind::kIlu0,
-          PreconditionerKind::kChebyshev}) {
-      b->Args({n, static_cast<int64_t>(kind), static_cast<int64_t>(OperatorKind::kCsr)});
-      if (kind != PreconditionerKind::kSsor && kind != PreconditionerKind::kIlu0) {
-        b->Args(
-            {n, static_cast<int64_t>(kind), static_cast<int64_t>(OperatorKind::kStencil)});
-      }
-    }
-  }
-}
-BENCHMARK(BM_CgSweep)->Apply(CgSweepArgs)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_CgSweep)
+    ->ArgsProduct({{32, 64}, benchmark::CreateDenseRange(0, 4, 1)})
+    ->Unit(benchmark::kMillisecond);
 
-/// Chebyshev degree tuning on the stencil operator: higher degree buys fewer
+/// Chebyshev degree tuning: higher degree buys fewer
 /// CG iterations at more SpMVs per application. The sweet spot depends on
 /// how SpMV-bound the iteration is.
 void BM_CgChebyshevDegree(benchmark::State& state) {
@@ -133,8 +92,7 @@ void BM_CgChebyshevDegree(benchmark::State& state) {
     math::SolverOptions options;
     options.preconditioner = math::PreconditionerKind::kChebyshev;
     options.chebyshev.degree = static_cast<int>(state.range(1));
-    const auto result =
-        math::conjugate_gradient(systems.stencil.op, systems.csr.rhs, x, options);
+    const auto result = math::conjugate_gradient(systems.csr.matrix, systems.csr.rhs, x, options);
     iterations = result.iterations;
     benchmark::DoNotOptimize(result.iterations);
   }
@@ -165,40 +123,30 @@ void BM_Assembly(benchmark::State& state) {
 }
 BENCHMARK(BM_Assembly)->Arg(16)->Arg(32)->Arg(64)->Unit(benchmark::kMillisecond);
 
-/// The transient hot path in miniature: one fixed stepping operator
-/// (A + C/dt), a sequence of warm-started solves whose rhs advances with the
-/// state, exactly like backward-Euler stepping. Three configurations:
-///   0  per-solve ILU(0) on CSR       -- the pre-fix behaviour (refactor
-///                                       the preconditioner on every step)
-///   1  cached ILU(0) on CSR          -- preconditioner built once
-///   2  cached Chebyshev on stencil   -- the matrix-free fast path
+/// The transient hot path in miniature: one fixed stepping matrix
+/// (A + C/dt, built as TransientSolver builds it), a sequence of
+/// warm-started solves whose rhs advances with the state, exactly like
+/// backward-Euler stepping. Two configurations:
+///   0  per-solve ILU(0)  -- the pre-fix behaviour (refactor the
+///                           preconditioner on every step)
+///   1  cached ILU(0)     -- preconditioner built once
 void BM_RepeatedWarmSolve(benchmark::State& state) {
   constexpr int kSteps = 25;
-  const int config = static_cast<int>(state.range(1));
-  auto systems = make_systems(2e-3 / static_cast<double>(state.range(0)));
+  const bool cache = state.range(1) == 1;
+  const auto systems = make_systems(2e-3 / static_cast<double>(state.range(0)));
   const double dt = 5e-4;
-
-  // Build the stepping operator once in stencil form, then export the exact
-  // same matrix to CSR so every configuration solves the identical system.
-  math::Vector shift = systems.stencil.capacitance;
+  const math::CsrMatrix a = thermal::stepping_matrix(systems.csr, dt);
+  math::Vector shift = systems.csr.capacitance;
   for (double& c : shift) {
     c /= dt;
   }
-  math::StencilOperator7 stepping_stencil = systems.stencil.op;
-  stepping_stencil.add_to_diagonal(shift);
-  const math::CsrMatrix stepping_csr = stepping_stencil.to_csr();
 
   std::unique_ptr<math::Preconditioner> cached;
-  if (config == 1) {
-    cached = std::make_unique<math::Ilu0Preconditioner>(stepping_csr);
-  } else if (config == 2) {
-    cached = std::make_unique<math::ChebyshevPreconditioner>(stepping_stencil);
+  if (cache) {
+    cached = std::make_unique<math::Ilu0Preconditioner>(a);
   }
-  const math::LinearOperator& a =
-      config == 2 ? static_cast<const math::LinearOperator&>(stepping_stencil)
-                  : stepping_csr;
 
-  const std::size_t n = stepping_csr.rows();
+  const std::size_t n = a.rows();
   std::size_t iterations = 0;
   for (auto _ : state) {
     math::Vector x(n, 30.0);
@@ -220,19 +168,12 @@ void BM_RepeatedWarmSolve(benchmark::State& state) {
     }
     benchmark::DoNotOptimize(x.data());
   }
-  state.SetLabel(config == 0   ? "ilu0-per-solve/csr"
-                 : config == 1 ? "ilu0-cached/csr"
-                               : "chebyshev-cached/stencil");
+  state.SetLabel(cache ? "ilu0-cached" : "ilu0-per-solve");
   state.counters["cells"] = static_cast<double>(systems.cells);
   state.counters["iters"] = static_cast<double>(iterations);
 }
 BENCHMARK(BM_RepeatedWarmSolve)
-    ->Args({32, 0})
-    ->Args({32, 1})
-    ->Args({32, 2})
-    ->Args({64, 0})
-    ->Args({64, 1})
-    ->Args({64, 2})
+    ->ArgsProduct({{32, 64}, {0, 1}})
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -173,8 +173,7 @@ std::string ThermalAwareDesigner::make_global_key(const soc::SccSystem& system) 
 
   const math::SolverOptions& solver = options.solver.solver;
   os << "solver:" << solver.max_iterations << '|' << static_cast<int>(solver.preconditioner)
-     << '|' << static_cast<int>(options.solver.operator_kind) << '|'
-     << solver.chebyshev.degree << '|';
+     << '|' << solver.chebyshev.degree << '|';
   num(solver.chebyshev.eig_ratio);
   num(solver.rel_tolerance);
   num(solver.convergence_slack);

@@ -24,7 +24,7 @@ namespace photherm::core {
 /// count, including 1.
 struct SweepOptions {
   /// Steady-state solver override applied to every designer the sweep
-  /// builds (operator kind, preconditioner, tolerances). Unset keeps the
+  /// builds (preconditioner, tolerances). Unset keeps the
   /// defaults. Enters the global-scene cache key, so sweeps run with
   /// different solver settings never share cached fields.
   std::optional<thermal::SteadyStateOptions> solver;

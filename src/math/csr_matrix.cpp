@@ -88,23 +88,6 @@ Vector CsrMatrix::multiply(const Vector& x) const {
   return y;
 }
 
-std::unique_ptr<LinearOperator> CsrMatrix::clone() const {
-  return std::make_unique<CsrMatrix>(*this);
-}
-
-double CsrMatrix::scaled_row_sum_bound(const Vector& scale) const {
-  PH_REQUIRE(scale.size() == rows_, "scaled_row_sum_bound: scale size mismatch");
-  double bound = 0.0;
-  for (std::size_t r = 0; r < rows_; ++r) {
-    double sum = 0.0;
-    for (std::size_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
-      sum += std::abs(values_[k]);
-    }
-    bound = std::max(bound, scale[r] * sum);
-  }
-  return bound;
-}
-
 double CsrMatrix::at(std::size_t row, std::size_t col) const {
   PH_REQUIRE(row < rows_ && col < cols_, "index out of range");
   const auto begin = col_idx_.begin() + static_cast<std::ptrdiff_t>(row_ptr_[row]);

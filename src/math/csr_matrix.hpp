@@ -4,10 +4,10 @@
 /// duplicate entries so assembly code can simply accumulate contributions.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
-#include "math/linear_operator.hpp"
 #include "math/vector_ops.hpp"
 
 namespace photherm::math {
@@ -41,14 +41,14 @@ class CsrBuilder {
 };
 
 /// Immutable CSR matrix.
-class CsrMatrix : public LinearOperator {
+class CsrMatrix {
  public:
   CsrMatrix() = default;
   CsrMatrix(std::size_t rows, std::size_t cols, std::vector<std::size_t> row_ptr,
             std::vector<std::uint32_t> col_idx, std::vector<double> values);
 
-  std::size_t rows() const override { return rows_; }
-  std::size_t cols() const override { return cols_; }
+  std::size_t rows() const { return rows_; }
+  std::size_t cols() const { return cols_; }
   std::size_t nnz() const { return values_.size(); }
 
   const std::vector<std::size_t>& row_ptr() const { return row_ptr_; }
@@ -61,16 +61,11 @@ class CsrMatrix : public LinearOperator {
   void multiply(const Vector& x, Vector& y) const;
   Vector multiply(const Vector& x) const;
 
-  /// LinearOperator interface (same kernel as multiply).
-  void apply(const Vector& x, Vector& y) const override { multiply(x, y); }
-  std::unique_ptr<LinearOperator> clone() const override;
-  double scaled_row_sum_bound(const Vector& scale) const override;
-
   /// Value at (row, col); zero if not stored. O(log nnz_row).
   double at(std::size_t row, std::size_t col) const;
 
   /// Diagonal as a vector (zero where no stored diagonal entry).
-  Vector diagonal() const override;
+  Vector diagonal() const;
 
   /// Structural symmetry + value symmetry check within `tol` (relative).
   /// The steady-state conduction operator must be symmetric; the FVM tests

@@ -15,7 +15,7 @@ namespace {
 /// a zero diagonal would divide to inf and a negative one silently breaks
 /// the SPD preconditioners, and either surfaces much later as a cryptic CG
 /// non-convergence. Fail at construction, naming the row.
-Vector checked_inverse_diagonal(const LinearOperator& a, const char* who) {
+Vector checked_inverse_diagonal(const CsrMatrix& a, const char* who) {
   Vector inv_diag = a.diagonal();
   for (std::size_t i = 0; i < inv_diag.size(); ++i) {
     if (!(inv_diag[i] > 0.0)) {
@@ -27,6 +27,24 @@ Vector checked_inverse_diagonal(const LinearOperator& a, const char* who) {
     inv_diag[i] = 1.0 / inv_diag[i];
   }
   return inv_diag;
+}
+
+/// max_i scale[i] * sum_j |a_ij|: a Gershgorin-style upper bound on the
+/// spectral radius of diag(scale) * A. With scale = 1/diag(A) this bounds
+/// the Jacobi-scaled spectrum, which is how ChebyshevPreconditioner obtains
+/// its eigenvalue interval without any power iteration.
+double scaled_row_sum_bound(const CsrMatrix& a, const Vector& scale) {
+  const auto& row_ptr = a.row_ptr();
+  const auto& values = a.values();
+  double bound = 0.0;
+  for (std::size_t r = 0; r < a.rows(); ++r) {
+    double sum = 0.0;
+    for (std::size_t k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
+      sum += std::abs(values[k]);
+    }
+    bound = std::max(bound, scale[r] * sum);
+  }
+  return bound;
 }
 
 /// Elementwise z[i] = r[i] * d[i], threaded chunk-ordered like the vector
@@ -53,7 +71,7 @@ void IdentityPreconditioner::apply(const Vector& r, Vector& z) const {
   z = r;
 }
 
-JacobiPreconditioner::JacobiPreconditioner(const LinearOperator& a)
+JacobiPreconditioner::JacobiPreconditioner(const CsrMatrix& a)
     : inv_diag_(checked_inverse_diagonal(a, "Jacobi preconditioner")) {}
 
 void JacobiPreconditioner::apply(const Vector& r, Vector& z) const {
@@ -190,14 +208,14 @@ void Ilu0Preconditioner::apply(const Vector& r, Vector& z) const {
   }
 }
 
-ChebyshevPreconditioner::ChebyshevPreconditioner(const LinearOperator& a,
+ChebyshevPreconditioner::ChebyshevPreconditioner(const CsrMatrix& a,
                                                  const ChebyshevSettings& settings)
-    : a_(a.clone()),
+    : a_(a),
       inv_diag_(checked_inverse_diagonal(a, "Chebyshev preconditioner")),
       degree_(settings.degree) {
   PH_REQUIRE(settings.degree >= 1, "Chebyshev degree must be at least 1");
   PH_REQUIRE(settings.eig_ratio > 1.0, "Chebyshev eig_ratio must exceed 1");
-  lambda_max_ = a.scaled_row_sum_bound(inv_diag_);
+  lambda_max_ = scaled_row_sum_bound(a, inv_diag_);
   PH_REQUIRE(lambda_max_ > 0.0 && std::isfinite(lambda_max_),
              "Chebyshev preconditioner: operator has no finite positive spectrum bound");
   // Jacobi scaling pins every diagonal of D^{-1} A at 1, so the Gershgorin
@@ -247,7 +265,7 @@ void ChebyshevPreconditioner::apply(const Vector& r, Vector& z) const {
   double rho = 1.0 / sigma;
   for (std::size_t k = 1; k < degree_; ++k) {
     // res -= A d (z just moved by d).
-    a_->apply(d, ad);
+    a_.multiply(d, ad);
     axpy(-1.0, ad, res);
     const double rho_next = 1.0 / (2.0 * sigma - rho);
     const double c_d = rho_next * rho;
@@ -295,8 +313,7 @@ PreconditionerKind preconditioner_kind_from_string(const std::string& name) {
               "` (expected identity, jacobi, ssor, ilu0 or chebyshev)");
 }
 
-std::unique_ptr<Preconditioner> make_preconditioner(PreconditionerKind kind,
-                                                    const LinearOperator& a,
+std::unique_ptr<Preconditioner> make_preconditioner(PreconditionerKind kind, const CsrMatrix& a,
                                                     const ChebyshevSettings& chebyshev) {
   telemetry::Span span("precond.build", to_string(kind));
   if (telemetry::enabled()) {
@@ -307,21 +324,12 @@ std::unique_ptr<Preconditioner> make_preconditioner(PreconditionerKind kind,
       return std::make_unique<IdentityPreconditioner>();
     case PreconditionerKind::kJacobi:
       return std::make_unique<JacobiPreconditioner>(a);
+    case PreconditionerKind::kSsor:
+      return std::make_unique<SsorPreconditioner>(a);
+    case PreconditionerKind::kIlu0:
+      return std::make_unique<Ilu0Preconditioner>(a);
     case PreconditionerKind::kChebyshev:
       return std::make_unique<ChebyshevPreconditioner>(a, chebyshev);
-    case PreconditionerKind::kSsor:
-    case PreconditionerKind::kIlu0: {
-      const auto* csr = dynamic_cast<const CsrMatrix*>(&a);
-      if (csr == nullptr) {
-        throw Error(std::string(to_string(kind)) +
-                    " preconditioning needs explicit CSR sparsity; the matrix-free stencil "
-                    "path supports identity, jacobi and chebyshev");
-      }
-      if (kind == PreconditionerKind::kSsor) {
-        return std::make_unique<SsorPreconditioner>(*csr);
-      }
-      return std::make_unique<Ilu0Preconditioner>(*csr);
-    }
   }
   throw Error("unknown preconditioner kind");
 }

@@ -1,7 +1,8 @@
 /// \file preconditioner.hpp
-/// \brief Preconditioners for conjugate gradient: Jacobi, SSOR, ILU(0) and
-/// a fixed-degree Chebyshev polynomial. The FVM conduction matrix is an SPD M-matrix, so ILU(0)
-/// exists and is stable without pivoting.
+/// \brief Preconditioners for conjugate gradient on a CsrMatrix: Jacobi,
+/// SSOR, ILU(0) (the default) and a fixed-degree Chebyshev polynomial. The
+/// FVM conduction matrix is an SPD M-matrix, so ILU(0) exists and is stable
+/// without pivoting.
 ///
 /// Every preconditioner owns all the data it applies — none keeps a
 /// pointer into the caller's matrix — so rebuilding or destroying A after
@@ -16,7 +17,6 @@
 #include <string>
 
 #include "math/csr_matrix.hpp"
-#include "math/linear_operator.hpp"
 
 namespace photherm::math {
 
@@ -40,7 +40,7 @@ class IdentityPreconditioner final : public Preconditioner {
 /// Diagonal scaling.
 class JacobiPreconditioner final : public Preconditioner {
  public:
-  explicit JacobiPreconditioner(const LinearOperator& a);
+  explicit JacobiPreconditioner(const CsrMatrix& a);
   void apply(const Vector& r, Vector& z) const override;
 
  private:
@@ -108,18 +108,17 @@ struct ChebyshevSettings {
 /// setup cost is one diagonal pass — exactly what the adaptive-dt
 /// reassembly path wants. Symmetric by construction
 /// (p(D^{-1}A) D^{-1} = D^{-1/2} p(D^{-1/2} A D^{-1/2}) D^{-1/2}), so CG
-/// applies. Owns a clone of the operator: no stale-matrix hazard.
+/// applies. Owns a copy of the matrix: no stale-matrix hazard.
 class ChebyshevPreconditioner final : public Preconditioner {
  public:
-  explicit ChebyshevPreconditioner(const LinearOperator& a,
-                                   const ChebyshevSettings& settings = {});
+  explicit ChebyshevPreconditioner(const CsrMatrix& a, const ChebyshevSettings& settings = {});
   void apply(const Vector& r, Vector& z) const override;
 
   double lambda_max() const { return lambda_max_; }
   double lambda_min() const { return lambda_min_; }
 
  private:
-  std::unique_ptr<const LinearOperator> a_;
+  CsrMatrix a_;
   Vector inv_diag_;
   std::size_t degree_;
   double lambda_max_ = 0.0;  ///< of D^{-1} A (Gershgorin bound)
@@ -131,11 +130,8 @@ enum class PreconditionerKind { kIdentity, kJacobi, kSsor, kIlu0, kChebyshev };
 const char* to_string(PreconditionerKind kind);
 PreconditionerKind preconditioner_kind_from_string(const std::string& name);
 
-/// Build a preconditioner of `kind` for `a`. SSOR and ILU(0) need explicit
-/// CSR sparsity; asking for them on a matrix-free operator (the stencil
-/// path) throws an Error naming the kinds that do work there.
-std::unique_ptr<Preconditioner> make_preconditioner(PreconditionerKind kind,
-                                                    const LinearOperator& a,
+/// Build a preconditioner of `kind` for `a`.
+std::unique_ptr<Preconditioner> make_preconditioner(PreconditionerKind kind, const CsrMatrix& a,
                                                     const ChebyshevSettings& chebyshev = {});
 
 }  // namespace photherm::math

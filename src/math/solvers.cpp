@@ -10,11 +10,11 @@ namespace photherm::math {
 
 namespace {
 
-SolverResult finalize(const LinearOperator& a, const Vector& b, const Vector& x,
+SolverResult finalize(const CsrMatrix& a, const Vector& b, const Vector& x,
                       std::size_t iters, double norm_b, const SolverOptions& options) {
   PH_REQUIRE(options.convergence_slack >= 1.0, "convergence_slack must be >= 1");
   Vector r;
-  a.apply(x, r);
+  a.multiply(x, r);
   for (std::size_t i = 0; i < r.size(); ++i) {
     r[i] = b[i] - r[i];
   }
@@ -51,7 +51,7 @@ void prepare_initial_guess(Vector& x, std::size_t n) {
 
 }  // namespace
 
-SolverResult conjugate_gradient(const LinearOperator& a, const Vector& b, Vector& x,
+SolverResult conjugate_gradient(const CsrMatrix& a, const Vector& b, Vector& x,
                                 const Preconditioner& precond, const SolverOptions& options) {
   PH_REQUIRE(a.rows() == a.cols(), "CG requires a square matrix");
   PH_REQUIRE(b.size() == a.rows(), "CG: rhs size mismatch");
@@ -66,7 +66,7 @@ SolverResult conjugate_gradient(const LinearOperator& a, const Vector& b, Vector
   }
 
   Vector r;
-  a.apply(x, r);
+  a.multiply(x, r);
   for (std::size_t i = 0; i < n; ++i) {
     r[i] = b[i] - r[i];
   }
@@ -89,7 +89,7 @@ SolverResult conjugate_gradient(const LinearOperator& a, const Vector& b, Vector
     if (rel <= options.rel_tolerance) {
       break;
     }
-    a.apply(p, ap);
+    a.multiply(p, ap);
     const double p_ap = dot(p, ap);
     PH_REQUIRE(p_ap > 0.0, "CG breakdown: matrix is not positive definite");
     const double alpha = rz / p_ap;
@@ -106,7 +106,7 @@ SolverResult conjugate_gradient(const LinearOperator& a, const Vector& b, Vector
   return result;
 }
 
-SolverResult conjugate_gradient(const LinearOperator& a, const Vector& b, Vector& x,
+SolverResult conjugate_gradient(const CsrMatrix& a, const Vector& b, Vector& x,
                                 const SolverOptions& options) {
   const auto precond = make_preconditioner(options.preconditioner, a, options.chebyshev);
   return conjugate_gradient(a, b, x, *precond, options);

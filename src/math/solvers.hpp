@@ -60,7 +60,7 @@ struct SolverResult {
 
 /// Preconditioned conjugate gradient. Builds the preconditioner named by
 /// `options.preconditioner` for this solve.
-SolverResult conjugate_gradient(const LinearOperator& a, const Vector& b, Vector& x,
+SolverResult conjugate_gradient(const CsrMatrix& a, const Vector& b, Vector& x,
                                 const SolverOptions& options = {});
 
 /// CG with a caller-owned preconditioner: `options.preconditioner` is
@@ -68,7 +68,7 @@ SolverResult conjugate_gradient(const LinearOperator& a, const Vector& b, Vector
 /// a transient stepper that solves the same operator every step builds M
 /// once and amortises the setup (ILU(0) factorisation, Chebyshev bounds)
 /// across the whole run instead of paying it per solve.
-SolverResult conjugate_gradient(const LinearOperator& a, const Vector& b, Vector& x,
+SolverResult conjugate_gradient(const CsrMatrix& a, const Vector& b, Vector& x,
                                 const Preconditioner& precond, const SolverOptions& options = {});
 
 std::string to_string(const SolverResult& result);

@@ -115,15 +115,10 @@ bool has_fixing_bc(const BoundarySet& bcs) {
   return false;
 }
 
-/// One implementation of the FVM face loop, shared by the CSR and stencil
-/// assemblies so the two operators can never drift apart. The emitter
-/// receives every internal face once (`pair(cell, nb, axis, g)` with the
-/// neighbour toward +axis) and every non-adiabatic boundary face
-/// (`boundary(cell, g)`); rhs and capacitance are filled here.
-template <typename Emitter>
-void assemble_core(const RectilinearMesh& m, const BoundarySet& bcs,
-                   const math::Vector* cell_conductivity, math::Vector& rhs,
-                   math::Vector& capacitance, Emitter&& emit) {
+}  // namespace
+
+DiscreteSystem assemble(const RectilinearMesh& m, const BoundarySet& bcs,
+                        const math::Vector* cell_conductivity) {
   PH_REQUIRE(has_fixing_bc(bcs),
              "all-adiabatic boundary set: the steady-state problem is singular");
   PH_REQUIRE(cell_conductivity == nullptr || cell_conductivity->size() == m.cell_count(),
@@ -135,8 +130,10 @@ void assemble_core(const RectilinearMesh& m, const BoundarySet& bcs,
   const std::size_t nz = m.nz();
   const auto& lib = m.materials_library();
 
-  rhs.assign(n, 0.0);
-  capacitance.assign(n, 0.0);
+  math::CsrBuilder builder(n, n);
+  builder.reserve(7 * n);
+  math::Vector rhs(n, 0.0);
+  math::Vector capacitance(n, 0.0);
 
   auto conductivity = [&](std::size_t cell) {
     return cell_conductivity != nullptr ? (*cell_conductivity)[cell]
@@ -170,14 +167,16 @@ void assemble_core(const RectilinearMesh& m, const BoundarySet& bcs,
             {iz + 1 < nz, iz + 1 < nz ? m.index(ix, iy, iz + 1) : 0, dz,
              iz + 1 < nz ? m.z().cell_width(iz + 1) : 0.0, dx * dy},
         };
-        for (int axis = 0; axis < 3; ++axis) {
-          const Neighbour& nb = neighbours[axis];
+        for (const Neighbour& nb : neighbours) {
           if (!nb.valid) {
             continue;
           }
           const double k2 = conductivity(nb.cell);
           const double g = nb.area / (nb.d1 / (2.0 * k1) + nb.d2 / (2.0 * k2));
-          emit.pair(cell, nb.cell, axis, g);
+          builder.add(cell, cell, g);
+          builder.add(nb.cell, nb.cell, g);
+          builder.add(cell, nb.cell, -g);
+          builder.add(nb.cell, cell, -g);
         }
       }
     }
@@ -193,81 +192,21 @@ void assemble_core(const RectilinearMesh& m, const BoundarySet& bcs,
                            [&](std::size_t cell, double area, double width, const Vec3& center) {
                              const double k = conductivity(cell);
                              const double g = boundary_conductance(bc, area, width, k);
-                             emit.boundary(cell, g);
+                             builder.add(cell, cell, g);
                              rhs[cell] += g * boundary_wall_temperature(bc, center);
                            });
   }
-}
-
-}  // namespace
-
-DiscreteSystem assemble(const RectilinearMesh& m, const BoundarySet& bcs,
-                        const math::Vector* cell_conductivity) {
-  const std::size_t n = m.cell_count();
-  struct CsrEmitter {
-    math::CsrBuilder builder;
-    void pair(std::size_t cell, std::size_t nb, int /*axis*/, double g) {
-      builder.add(cell, cell, g);
-      builder.add(nb, nb, g);
-      builder.add(cell, nb, -g);
-      builder.add(nb, cell, -g);
-    }
-    void boundary(std::size_t cell, double g) { builder.add(cell, cell, g); }
-  } emit{math::CsrBuilder(n, n)};
-  emit.builder.reserve(7 * n);
-  math::Vector rhs;
-  math::Vector capacitance;
-  assemble_core(m, bcs, cell_conductivity, rhs, capacitance, emit);
-  return DiscreteSystem{emit.builder.build(), std::move(rhs), std::move(capacitance)};
-}
-
-StencilSystem assemble_stencil(const RectilinearMesh& m, const BoundarySet& bcs,
-                               const math::Vector* cell_conductivity) {
-  struct StencilEmitter {
-    math::StencilOperator7 op;
-    void pair(std::size_t cell, std::size_t nb, int axis, double g) {
-      op.diag()[cell] += g;
-      op.diag()[nb] += g;
-      // `nb` is the +axis neighbour of `cell`.
-      switch (axis) {
-        case 0:
-          op.east()[cell] = -g;
-          op.west()[nb] = -g;
-          break;
-        case 1:
-          op.north()[cell] = -g;
-          op.south()[nb] = -g;
-          break;
-        default:
-          op.up()[cell] = -g;
-          op.down()[nb] = -g;
-          break;
-      }
-    }
-    void boundary(std::size_t cell, double g) { op.diag()[cell] += g; }
-  } emit{math::StencilOperator7(m.nx(), m.ny(), m.nz())};
-  math::Vector rhs;
-  math::Vector capacitance;
-  assemble_core(m, bcs, cell_conductivity, rhs, capacitance, emit);
-  return StencilSystem{std::move(emit.op), std::move(rhs), std::move(capacitance)};
-}
-
-const char* to_string(OperatorKind kind) {
-  return kind == OperatorKind::kStencil ? "stencil" : "csr";
+  return DiscreteSystem{builder.build(), std::move(rhs), std::move(capacitance)};
 }
 
 namespace {
 
-/// Steady solve on whichever operator representation the options ask for.
-/// The warm-start contract of conjugate_gradient applies to `t` unchanged.
+/// Assemble and solve; the warm-start contract of conjugate_gradient
+/// applies to `t` unchanged.
 math::SolverResult steady_solve(const RectilinearMesh& m, const BoundarySet& bcs,
                                 const math::Vector* cell_conductivity,
                                 const SteadyStateOptions& options, math::Vector& t) {
-  if (options.operator_kind == OperatorKind::kStencil) {
-    StencilSystem system = assemble_stencil(m, bcs, cell_conductivity);
-    return math::conjugate_gradient(system.op, system.rhs, t, options.solver);
-  }
-  DiscreteSystem system = assemble(m, bcs, cell_conductivity);
+  const DiscreteSystem system = assemble(m, bcs, cell_conductivity);
   return math::conjugate_gradient(system.matrix, system.rhs, t, options.solver);
 }
 

@@ -9,7 +9,6 @@
 
 #include "math/csr_matrix.hpp"
 #include "math/solvers.hpp"
-#include "math/stencil_operator.hpp"
 #include "mesh/mesh.hpp"
 #include "thermal/bc.hpp"
 #include "thermal/thermal_map.hpp"
@@ -24,15 +23,6 @@ struct DiscreteSystem {
   math::Vector capacitance;  ///< [J/K] per cell
 };
 
-/// The same discrete problem with the operator in matrix-free 7-point
-/// stencil form (see stencil_operator.hpp): identical coefficients, no CSR
-/// indirection in the SpMV.
-struct StencilSystem {
-  math::StencilOperator7 op;
-  math::Vector rhs;
-  math::Vector capacitance;  ///< [J/K] per cell
-};
-
 /// Assemble the steady-state conduction system for `mesh` under `bcs`.
 /// Face conductance between two cells is the series combination of the
 /// half-cell resistances: G = A / (d1/(2 k1) + d2/(2 k2)).
@@ -41,21 +31,8 @@ struct StencilSystem {
 DiscreteSystem assemble(const mesh::RectilinearMesh& mesh, const BoundarySet& bcs,
                         const math::Vector* cell_conductivity = nullptr);
 
-/// Assemble the same system straight into stencil form. Runs the identical
-/// face loop as assemble() (one shared implementation), so the operator
-/// matches the CSR one coefficient for coefficient; only the floating-point
-/// summation order of coincident contributions may differ (CsrBuilder sums
-/// duplicates in unspecified order), which keeps the two within a few ULP.
-StencilSystem assemble_stencil(const mesh::RectilinearMesh& mesh, const BoundarySet& bcs,
-                               const math::Vector* cell_conductivity = nullptr);
-
-/// Which operator representation the solvers iterate on.
-enum class OperatorKind {
-  kCsr,      ///< explicit CSR sparsity; supports every preconditioner
-  kStencil,  ///< matrix-free 7-point stencil; identity/jacobi/chebyshev only
-};
-
-const char* to_string(OperatorKind kind);
+/// Kept only because perfbench/ asserts it; it goes with the next benchmark change.
+enum class OperatorKind { kCsr };
 
 struct SteadyStateOptions {
   math::SolverOptions solver;

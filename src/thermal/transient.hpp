@@ -17,12 +17,6 @@ namespace photherm::thermal {
 struct TransientOptions {
   double time_step = 1e-3;  ///< [s]
   math::SolverOptions solver;
-  /// Representation of the stepping operator C/dt + A. The stencil form
-  /// skips the CSR triplet sort on every adaptive-dt rebuild (the diagonal
-  /// shift is one vector add) and runs the cheaper matrix-free SpMV; it
-  /// supports the identity/jacobi/chebyshev preconditioners (asking for
-  /// ssor/ilu0 throws at construction).
-  OperatorKind operator_kind = OperatorKind::kCsr;
   /// Seed each step's CG solve with the previous state. The stepping update
   /// (C/dt + A) T_{n+1} = (C/dt) T_n + q moves the field a little per step,
   /// so the previous state is an excellent initial guess and cuts the
@@ -60,6 +54,10 @@ struct TransientStats {
 /// checkpoint machinery folds the cost of a resumed playback's earlier
 /// session into the fresh solver's counters with this.
 TransientStats operator+(const TransientStats& a, const TransientStats& b);
+
+/// The backward-Euler stepping matrix C/dt + A of `system`: A's entries with
+/// C/dt added on the diagonal. SPD whenever A is.
+math::CsrMatrix stepping_matrix(const DiscreteSystem& system, double dt);
 
 /// Steps T(t) forward with backward Euler:
 ///   (C/dt + A) T_{n+1} = (C/dt) T_n + q.
@@ -132,15 +130,11 @@ class TransientSolver {
   /// Rebuild C/dt + A and the preconditioner cached with it for the current
   /// time step.
   void rebuild_stepping();
-  /// The operator step() iterates on (CSR or stencil form per options).
-  const math::LinearOperator& stepping_operator() const;
 
   std::shared_ptr<const mesh::RectilinearMesh> mesh_;
   TransientOptions options_;
   DiscreteSystem system_;          ///< steady-state operator A and rhs q
-  math::CsrMatrix stepping_matrix_;  ///< C/dt + A (kCsr path)
-  std::optional<math::StencilOperator7> stencil_a_;        ///< A (kStencil path)
-  std::optional<math::StencilOperator7> stepping_stencil_;  ///< C/dt + A (kStencil path)
+  math::CsrMatrix stepping_matrix_;  ///< C/dt + A
   /// Cached with the stepping operator and rebuilt only by set_time_step —
   /// never per solve (see TransientStats::preconditioner_builds).
   std::unique_ptr<math::Preconditioner> precond_;

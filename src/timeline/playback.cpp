@@ -77,7 +77,6 @@ Playback::Playback(const scenario::ScenarioSpec& spec, const PlaybackOptions& op
   transient_options.time_step = dt_;
   transient_options.warm_start = options_.warm_start;
   transient_options.solver = options_.solver;
-  transient_options.operator_kind = options_.operator_kind;
   solver_.emplace(mesh_, boundary_set_, transient_options);
   solver_->set_uniform_state(spec.design.package.t_ambient);
 
@@ -123,7 +122,6 @@ Playback::Playback(const scenario::ScenarioSpec& spec, const PlaybackOptions& op
   transient_options.time_step = dt_;
   transient_options.warm_start = options_.warm_start;
   transient_options.solver = options_.solver;
-  transient_options.operator_kind = options_.operator_kind;
   solver_.emplace(mesh_, boundary_set_, transient_options);
   solver_->set_state(thermal::ThermalField(mesh_, checkpoint.state));
   solver_->set_time(checkpoint.time);

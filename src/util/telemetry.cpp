@@ -197,7 +197,6 @@ const std::vector<std::pair<std::string, std::string>>& catalog() {
       {"solver.conjugate_gradient.relative_residual", "gauge"},
       {"solver.conjugate_gradient.solves", "counter"},
       {"spmv.csr", "counter"},
-      {"spmv.stencil", "counter"},
       {"transient.preconditioner_builds", "counter"},
       {"transient.reassemblies", "counter"},
       {"transient.steps", "counter"},

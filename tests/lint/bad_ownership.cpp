@@ -24,8 +24,8 @@ class DanglingSsorPreconditioner {
 
 // Reference members are the same hazard (and additionally pin the class to
 // one binding for its whole lifetime).
-struct StencilView {
-  const StencilOperator7& op;
+struct MatrixView {
+  const CsrMatrix& op;
 };
 
 // NSDMI spelling of the same pointer member.

@@ -8,7 +8,7 @@
 #include <memory>
 
 #include "math/csr_matrix.hpp"
-#include "math/linear_operator.hpp"
+#include "math/preconditioner.hpp"
 
 namespace photherm::math {
 
@@ -24,9 +24,9 @@ class OwningSsorPreconditioner {
   CsrMatrix matrix_;  // owned copy: cannot dangle
 };
 
-class CloningSolver {
+class CachingSolver {
  private:
-  std::unique_ptr<LinearOperator> op_;              // owned clone
+  std::unique_ptr<Preconditioner> precond_;         // owned preconditioner
   std::shared_ptr<const CsrMatrix> shared_matrix_;  // shared ownership
 };
 

@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "support/fixtures.hpp"
+#include "thermal/fvm.hpp"
+#include "thermal/transient.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace photherm::math {
 namespace {
@@ -364,7 +369,7 @@ TEST(PreconditionerGuards, SsorSurvivesMatrixRebuild) {
   EXPECT_EQ(z_before, z_after_free);
 }
 
-/// Same ownership contract for Chebyshev (it clones the operator).
+/// Same ownership contract for Chebyshev (it copies the matrix).
 TEST(PreconditionerGuards, ChebyshevSurvivesMatrixRebuild) {
   const std::size_t n = 50;
   const Vector r(n, 1.0);
@@ -407,6 +412,160 @@ TEST(Solvers, PreconditionerKindRoundTripsThroughStrings) {
     EXPECT_EQ(preconditioner_kind_from_string(to_string(kind)), kind);
   }
   EXPECT_THROW(preconditioner_kind_from_string("multigrid"), Error);
+}
+
+// --- Chebyshev on the assembled FVM operator. --------------------------------
+
+Vector random_vector(std::size_t n, std::uint64_t seed) {
+  Vector v(n);
+  Rng rng(seed);
+  for (double& x : v) {
+    x = rng.uniform(-1.0, 1.0);
+  }
+  return v;
+}
+
+/// Slab with an off-centre heater block: the block's edges insert mesh
+/// ticks, so the x/y axes are genuinely non-uniform; two z layers via an
+/// explicit cell cap make z non-uniform as well.
+mesh::RectilinearMesh heated_mesh(double cell_xy, double cell_z) {
+  const double a = 1e-3;
+  const double t = 200e-6;
+  geometry::Scene scene = fixtures::uniform_slab(a, t);
+  const auto heater = geometry::Box3::make({0.3e-3, 0.45e-3, 0.0}, {0.75e-3, 0.8e-3, t});
+  fixtures::add_heater(scene, heater, 0.5);
+  return mesh::RectilinearMesh::build(scene, fixtures::uniform_mesh_options(cell_xy, cell_z));
+}
+
+/// Every face non-adiabatic, mixing all three fixing BC kinds.
+thermal::BoundarySet all_faces_bcs() {
+  using thermal::Face;
+  using thermal::FaceBc;
+  thermal::BoundarySet bcs;
+  bcs[Face::kXMin] = FaceBc::convection(500.0, 30.0);
+  bcs[Face::kXMax] = FaceBc::dirichlet(45.0);
+  bcs[Face::kYMin] = FaceBc::dirichlet_field(
+      [](const geometry::Vec3& p) { return 25.0 + 1e4 * p.x; });
+  bcs[Face::kYMax] = FaceBc::convection(2e3, 22.0);
+  bcs[Face::kZMin] = FaceBc::convection(1e3, 25.0);
+  bcs[Face::kZMax] = FaceBc::dirichlet(60.0);
+  return bcs;
+}
+
+TEST(Chebyshev, GershgorinBoundContainsJacobiScaledSpectrum) {
+  const auto mesh = heated_mesh(80e-6, 90e-6);
+  const CsrMatrix a = thermal::assemble(mesh, all_faces_bcs()).matrix;
+  const std::size_t n = mesh.cell_count();
+
+  // lambda_max is the Gershgorin row-sum bound of D^{-1} A; the scaled row
+  // sum includes the diagonal itself, so the bound is >= 1.
+  const double bound = ChebyshevPreconditioner(a).lambda_max();
+  ASSERT_TRUE(std::isfinite(bound));
+  EXPECT_GE(bound, 1.0);
+
+  Vector inv_diag = a.diagonal();
+  for (double& d : inv_diag) {
+    ASSERT_GT(d, 0.0);
+    d = 1.0 / d;
+  }
+  // Power iteration on B = D^{-1} A: its estimate grows toward the true
+  // spectral radius from below, so it must stay under the bound.
+  Vector v = random_vector(n, 23);
+  Vector av(n);
+  double estimate = 0.0;
+  for (int iter = 0; iter < 30; ++iter) {
+    a.multiply(v, av);
+    double norm = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      av[i] *= inv_diag[i];
+      norm += av[i] * av[i];
+    }
+    norm = std::sqrt(norm);
+    ASSERT_GT(norm, 0.0);
+    double vnorm = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      vnorm += v[i] * v[i];
+    }
+    estimate = norm / std::sqrt(vnorm);
+    for (std::size_t i = 0; i < n; ++i) {
+      v[i] = av[i] / norm;
+    }
+  }
+  EXPECT_LE(estimate, bound * (1.0 + 1e-12));
+}
+
+TEST(Chebyshev, PreconditionerIsSymmetric) {
+  const auto mesh = heated_mesh(80e-6, 90e-6);
+  const ChebyshevPreconditioner precond(thermal::assemble(mesh, all_faces_bcs()).matrix);
+  const std::size_t n = mesh.cell_count();
+
+  // CG needs a symmetric M^{-1}: <M^{-1}u, v> == <u, M^{-1}v>.
+  const Vector u = random_vector(n, 5);
+  const Vector v = random_vector(n, 6);
+  Vector mu, mv;
+  precond.apply(u, mu);
+  precond.apply(v, mv);
+  double left = 0.0, right = 0.0, mag = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    left += mu[i] * v[i];
+    right += u[i] * mv[i];
+    mag += std::abs(mu[i] * v[i]);
+  }
+  EXPECT_NEAR(left, right, 1e-12 * std::max(1.0, mag));
+}
+
+TEST(Chebyshev, ApplyIsBitIdenticalAcrossThreadCounts) {
+  // 26^3 = 17576 rows exceeds kSerialCutoff, so the threaded kernels run.
+  const double a = 1e-3;
+  geometry::Scene scene = fixtures::uniform_slab(a, a);
+  const auto mesh =
+      mesh::RectilinearMesh::build(scene, fixtures::uniform_mesh_options(a / 26.0, a / 26.0));
+  ASSERT_GE(mesh.cell_count(), util::kSerialCutoff);
+  thermal::BoundarySet bcs;
+  bcs[thermal::Face::kZMax] = thermal::FaceBc::convection(1e4, 25.0);
+  const ChebyshevPreconditioner precond(thermal::assemble(mesh, bcs).matrix);
+
+  const Vector r = random_vector(mesh.cell_count(), 31);
+  const auto apply_at = [&](std::size_t threads) {
+    fixtures::ConcurrencyGuard guard(threads);
+    Vector z;
+    precond.apply(r, z);
+    return z;
+  };
+  const Vector z1 = apply_at(1);
+  EXPECT_EQ(z1, apply_at(2));
+  EXPECT_EQ(z1, apply_at(4));
+}
+
+TEST(Chebyshev, SettingsAreValidated) {
+  const CsrMatrix a = thermal::assemble(heated_mesh(100e-6, 0.0), all_faces_bcs()).matrix;
+  ChebyshevSettings bad_degree;
+  bad_degree.degree = 0;
+  EXPECT_THROW(ChebyshevPreconditioner(a, bad_degree), Error);
+  ChebyshevSettings bad_ratio;
+  bad_ratio.eig_ratio = 1.0;
+  EXPECT_THROW(ChebyshevPreconditioner(a, bad_ratio), Error);
+}
+
+TEST(Chebyshev, ShiftedOperatorTightensTheSpectrumInterval) {
+  const thermal::DiscreteSystem system =
+      thermal::assemble(heated_mesh(100e-6, 0.0), all_faces_bcs());
+
+  // The lower bound is the best of the eig_ratio fallback and the
+  // Gershgorin disc floor 2 - lambda_max of the Jacobi-scaled operator.
+  const ChebyshevPreconditioner bare(system.matrix);
+  EXPECT_NEAR(bare.lambda_min(),
+              std::max(bare.lambda_max() / ChebyshevSettings().eig_ratio,
+                       2.0 - bare.lambda_max()),
+              1e-12 * bare.lambda_max());
+
+  // A strong diagonal shift (the transient stepping matrix C/dt + A with a
+  // small dt) squeezes the Jacobi-scaled spectrum toward 1; the lower bound
+  // must follow it instead of staying at lambda_max / eig_ratio.
+  const ChebyshevPreconditioner shifted(thermal::stepping_matrix(system, 1e-6));
+  EXPECT_LT(shifted.lambda_max(), 1.5);
+  EXPECT_NEAR(shifted.lambda_min(), 2.0 - shifted.lambda_max(), 1e-12 * shifted.lambda_max());
+  EXPECT_GT(shifted.lambda_min(), shifted.lambda_max() / ChebyshevSettings().eig_ratio);
 }
 
 }  // namespace

@@ -209,7 +209,7 @@ TEST(Transient, SetTimeStepMatchesAFreshSolverOnTheNewGrid) {
   EXPECT_EQ(grown.stats().reassemblies, 1u);
 
   // A solver built directly on the coarse grid and seeded with the same
-  // state must continue bit-identically: the rebuild via add_capacitance
+  // state must continue bit-identically: the rebuild via stepping_matrix
   // is exactly the construction-time assembly.
   TransientOptions coarse = options;
   coarse.time_step = 8e-3;
@@ -230,61 +230,30 @@ TEST(Transient, SetTimeStepMatchesAFreshSolverOnTheNewGrid) {
   EXPECT_EQ(grown.stats().reassemblies, 1u);
 }
 
-TEST(Transient, StencilPathMatchesCsrPath) {
-  Rig rig = make_rig(0.5);
-  TransientOptions csr_options;
-  csr_options.time_step = 2e-3;
-  TransientSolver csr(rig.mesh, rig.bcs, csr_options);
-  csr.set_uniform_state(25.0);
-
-  TransientOptions stencil_options = csr_options;
-  stencil_options.operator_kind = OperatorKind::kStencil;
-  stencil_options.solver.preconditioner = math::PreconditionerKind::kChebyshev;
-  TransientSolver stencil(rig.mesh, rig.bcs, stencil_options);
-  stencil.set_uniform_state(25.0);
-
-  // Different operators and preconditioners, same physics: the trajectories
-  // agree to solver tolerance, far below any physical signal.
-  for (int step = 0; step < 20; ++step) {
-    const ThermalField& a = csr.step();
-    const ThermalField& b = stencil.step();
-    ASSERT_EQ(a.temperatures().size(), b.temperatures().size());
-    for (std::size_t i = 0; i < a.temperatures().size(); ++i) {
-      ASSERT_NEAR(b.temperatures()[i], a.temperatures()[i], 1e-6)
-          << "step " << step << " cell " << i;
-    }
-  }
-  // system() stays the public CSR steady reference even on the stencil path.
-  EXPECT_GT(csr.system().matrix.rows(), 0u);
-  EXPECT_EQ(stencil.system().matrix.rows(), csr.system().matrix.rows());
-}
-
 TEST(Transient, PreconditionerIsCachedAcrossStepsAndRebuiltOnNewDt) {
   Rig rig = make_rig(0.5);
-  for (const OperatorKind kind : {OperatorKind::kCsr, OperatorKind::kStencil}) {
+  for (const math::PreconditionerKind kind :
+       {math::PreconditionerKind::kIlu0, math::PreconditionerKind::kChebyshev}) {
     TransientOptions options;
     options.time_step = 2e-3;
-    options.operator_kind = kind;
-    if (kind == OperatorKind::kStencil) {
-      options.solver.preconditioner = math::PreconditionerKind::kChebyshev;
-    }
+    options.solver.preconditioner = kind;
     TransientSolver solver(rig.mesh, rig.bcs, options);
     solver.set_uniform_state(25.0);
 
     // Stepping reuses the construction-time preconditioner: no rebuilds.
     solver.advance(10);
-    EXPECT_EQ(solver.stats().preconditioner_builds, 0u) << to_string(kind);
+    EXPECT_EQ(solver.stats().preconditioner_builds, 0u) << math::to_string(kind);
 
     // Changing dt changes the stepping operator, so both counters move
     // together; a same-valued set is a no-op for both.
     solver.set_time_step(4e-3);
-    EXPECT_EQ(solver.stats().preconditioner_builds, 1u) << to_string(kind);
-    EXPECT_EQ(solver.stats().reassemblies, 1u) << to_string(kind);
+    EXPECT_EQ(solver.stats().preconditioner_builds, 1u) << math::to_string(kind);
+    EXPECT_EQ(solver.stats().reassemblies, 1u) << math::to_string(kind);
     solver.set_time_step(4e-3);
-    EXPECT_EQ(solver.stats().preconditioner_builds, 1u) << to_string(kind);
+    EXPECT_EQ(solver.stats().preconditioner_builds, 1u) << math::to_string(kind);
 
     solver.advance(5);
-    EXPECT_EQ(solver.stats().preconditioner_builds, 1u) << to_string(kind);
+    EXPECT_EQ(solver.stats().preconditioner_builds, 1u) << math::to_string(kind);
   }
 }
 

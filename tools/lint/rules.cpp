@@ -26,7 +26,7 @@ void Reporter::report(const SourceFile& file, std::size_t index, const std::stri
 const std::vector<RuleInfo>& rules() {
   static const std::vector<RuleInfo> r = {
       {"ownership",
-       "no raw pointer/reference members to CsrMatrix/LinearOperator/mesh objects — holders own "
+       "no raw pointer/reference members to CsrMatrix/Preconditioner/mesh objects — holders own "
        "their data",
        false},
       {"determinism",

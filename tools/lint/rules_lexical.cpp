@@ -20,8 +20,7 @@ namespace {
 // Types whose instances are solver-lifetime resources: a raw view member
 // into one of these is exactly the PR 6 SSOR dangling-pointer bug class.
 const char* const kGuardedTypes =
-    "(?:CsrMatrix|LinearOperator|StencilOperator7|Preconditioner|"
-    "RectilinearMesh|ThermalField|Axis)";
+    "(?:CsrMatrix|Preconditioner|RectilinearMesh|ThermalField|Axis)";
 
 }  // namespace
 
@@ -40,7 +39,7 @@ void rule_ownership(const SourceFile& file, Reporter& reporter) {
     if (std::regex_search(code, member) || std::regex_search(code, member_init)) {
       reporter.report(file, i, "ownership",
                       "raw pointer/reference member to a solver-lifetime type "
-                      "(CsrMatrix/LinearOperator/mesh/...): the holder must own its "
+                      "(CsrMatrix/Preconditioner/mesh/...): the holder must own its "
                       "data (copy, unique_ptr, shared_ptr) — a non-owning view member "
                       "is the PR 6 SSOR dangling-pointer bug class; if the lifetime "
                       "is provably managed, allowlist it with the argument written "

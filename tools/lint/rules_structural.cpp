@@ -272,8 +272,7 @@ bool write_op(const Token& t) {
 
 bool guarded_type(const std::string& id) {
   static const std::set<std::string> kGuarded = {
-      "CsrMatrix",        "LinearOperator", "StencilOperator7", "Preconditioner",
-      "RectilinearMesh",  "ThermalField",   "Axis",
+      "CsrMatrix", "Preconditioner", "RectilinearMesh", "ThermalField", "Axis",
   };
   return kGuarded.count(id) != 0;
 }
