@@ -183,28 +183,42 @@ Ilu0Preconditioner::Ilu0Preconditioner(const CsrMatrix& a)
       throw Error(os.str());
     }
   }
+  inv_pivot_.resize(n_);
+  for (std::size_t i = 0; i < n_; ++i) {
+    inv_pivot_[i] = 1.0 / values_[diag_pos_[i]];
+  }
+}
+
+CsrMatrix Ilu0Preconditioner::factors() const {
+  return CsrMatrix(n_, n_, row_ptr_, col_idx_, values_);
 }
 
 void Ilu0Preconditioner::apply(const Vector& r, Vector& z) const {
   PH_REQUIRE(r.size() == n_, "ILU(0) apply: size mismatch");
   telemetry::count("precond.ilu0.applies");
-  // Solve L y = r (unit lower triangular).
-  Vector y(n_);
+  // Both sweeps run in z: each reads only entries it has already written,
+  // so whatever z held before is never used.
+  z.resize(n_);
+  const std::size_t* row_ptr = row_ptr_.data();
+  const std::size_t* diag_pos = diag_pos_.data();
+  const std::uint32_t* col = col_idx_.data();
+  const double* lu = values_.data();
+  double* out = z.data();
+  // Solve L y = r (unit lower triangular), y into z.
   for (std::size_t i = 0; i < n_; ++i) {
     double acc = r[i];
-    for (std::size_t k = row_ptr_[i]; k < diag_pos_[i]; ++k) {
-      acc -= values_[k] * y[col_idx_[k]];
+    for (std::size_t k = row_ptr[i]; k < diag_pos[i]; ++k) {
+      acc -= lu[k] * out[col[k]];
     }
-    y[i] = acc;
+    out[i] = acc;
   }
-  // Solve U z = y.
-  z.resize(n_);
+  // Solve U z = y in place.
   for (std::size_t ii = n_; ii-- > 0;) {
-    double acc = y[ii];
-    for (std::size_t k = diag_pos_[ii] + 1; k < row_ptr_[ii + 1]; ++k) {
-      acc -= values_[k] * z[col_idx_[k]];
+    double acc = out[ii];
+    for (std::size_t k = diag_pos[ii] + 1; k < row_ptr[ii + 1]; ++k) {
+      acc -= lu[k] * out[col[k]];
     }
-    z[ii] = acc / values_[diag_pos_[ii]];
+    out[ii] = acc * inv_pivot_[ii];
   }
 }
 

@@ -69,15 +69,23 @@ class SsorPreconditioner final : public Preconditioner {
 class Ilu0Preconditioner final : public Preconditioner {
  public:
   explicit Ilu0Preconditioner(const CsrMatrix& a);
+  /// Forward and back sweep in `z` itself (resized to the system size; its
+  /// previous contents are never read). The back sweep multiplies by the
+  /// stored inverse pivots, so the apply allocates nothing and divides by
+  /// nothing.
   void apply(const Vector& r, Vector& z) const override;
 
+  /// The factors on A's pattern: strictly-lower entries hold L (unit
+  /// diagonal implied), diagonal + strictly-upper hold U. A copy, for
+  /// tests and diagnostics.
+  CsrMatrix factors() const;
+
  private:
-  // Factor stored on A's pattern: strictly-lower entries hold L (unit
-  // diagonal implied), diagonal + strictly-upper hold U.
   std::vector<std::size_t> row_ptr_;
   std::vector<std::uint32_t> col_idx_;
   std::vector<double> values_;
   std::vector<std::size_t> diag_pos_;
+  Vector inv_pivot_;  ///< 1 / U_ii, computed after the zero-pivot checks
   std::size_t n_ = 0;
 };
 

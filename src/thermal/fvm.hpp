@@ -25,9 +25,18 @@ struct DiscreteSystem {
 
 /// Assemble the steady-state conduction system for `mesh` under `bcs`.
 /// Face conductance between two cells is the series combination of the
-/// half-cell resistances: G = A / (d1/(2 k1) + d2/(2 k2)).
+/// half-cell resistances: G = A / (d1/(2 k1) + d2/(2 k2)), evaluated once
+/// per face with the lower cell as (d1, k1), so A is exactly symmetric.
 /// `cell_conductivity` (optional) overrides the material conductivity per
 /// cell — used by the nonlinear solver for temperature-dependent k(T).
+///
+/// The CSR rows are written directly in one pass. Row `i` holds, in column
+/// order and skipping neighbours outside the mesh, the z-, y-, x- entries,
+/// the diagonal, then x+, y+, z+. The diagonal is summed in a fixed order:
+/// the neighbour conductances in that column order (z-, y-, x-, x+, y+, z+),
+/// then the boundary conductances in face order (x-, x+, y-, y+, z-, z+).
+/// The RHS is the cell's power plus g * T_wall per boundary face, in the
+/// same face order.
 DiscreteSystem assemble(const mesh::RectilinearMesh& mesh, const BoundarySet& bcs,
                         const math::Vector* cell_conductivity = nullptr);
 

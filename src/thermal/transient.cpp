@@ -20,19 +20,17 @@ TransientStats operator+(const TransientStats& a, const TransientStats& b) {
 
 math::CsrMatrix stepping_matrix(const DiscreteSystem& system, double dt) {
   const math::CsrMatrix& a = system.matrix;
-  const math::Vector& capacitance = system.capacitance;
-  math::CsrBuilder builder(a.rows(), a.cols());
-  builder.reserve(a.nnz() + a.rows());
   const auto& row_ptr = a.row_ptr();
   const auto& col_idx = a.col_idx();
-  const auto& values = a.values();
+  std::vector<double> values = a.values();
   for (std::size_t r = 0; r < a.rows(); ++r) {
-    for (std::size_t k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
-      builder.add(r, col_idx[k], values[k]);
-    }
-    builder.add(r, r, capacitance[r] / dt);
+    const auto begin = col_idx.begin() + static_cast<std::ptrdiff_t>(row_ptr[r]);
+    const auto end = col_idx.begin() + static_cast<std::ptrdiff_t>(row_ptr[r + 1]);
+    const auto diag = std::lower_bound(begin, end, static_cast<std::uint32_t>(r));
+    PH_REQUIRE(diag != end && *diag == r, "stepping_matrix: row without a stored diagonal");
+    values[static_cast<std::size_t>(diag - col_idx.begin())] += system.capacitance[r] / dt;
   }
-  return builder.build();
+  return math::CsrMatrix(a.rows(), a.cols(), row_ptr, col_idx, std::move(values));
 }
 
 TransientSolver::TransientSolver(std::shared_ptr<const mesh::RectilinearMesh> mesh,

@@ -55,8 +55,9 @@ struct TransientStats {
 /// session into the fresh solver's counters with this.
 TransientStats operator+(const TransientStats& a, const TransientStats& b);
 
-/// The backward-Euler stepping matrix C/dt + A of `system`: A's entries with
-/// C/dt added on the diagonal. SPD whenever A is.
+/// The backward-Euler stepping matrix C/dt + A of `system`: A's pattern and
+/// entries with C/dt added to each row's stored diagonal (A must store every
+/// diagonal, as `assemble` does). SPD whenever A is.
 math::CsrMatrix stepping_matrix(const DiscreteSystem& system, double dt);
 
 /// Steps T(t) forward with backward Euler:

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "geometry/stack.hpp"
 #include "support/fixtures.hpp"
 #include "util/error.hpp"
@@ -173,6 +175,160 @@ TEST(Fvm, HotterSourceGivesHotterField) {
     } else {
       EXPECT_NEAR(field.global_max() - 25.0, 2.0 * first_rise, 1e-6);
     }
+  }
+}
+
+
+/// Conductance of a boundary half-cell (plus the film for convection), as
+/// the triplet reference below adds it.
+double reference_boundary_conductance(const FaceBc& bc, double area, double d, double k) {
+  if (bc.kind == BcKind::kConvection) {
+    return area / (d / (2.0 * k) + 1.0 / bc.h);
+  }
+  return area / (d / (2.0 * k));
+}
+
+double reference_wall_temperature(const FaceBc& bc, const geometry::Vec3& center) {
+  switch (bc.kind) {
+    case BcKind::kConvection:
+      return bc.t_ambient;
+    case BcKind::kDirichlet:
+      return bc.t_wall;
+    case BcKind::kDirichletField:
+      return bc.wall_field(center);
+    case BcKind::kAdiabatic:
+      break;
+  }
+  return 0.0;
+}
+
+/// Triplet-form reference assembly: every face conductance is pushed into a
+/// CsrBuilder (four entries per interior face, one diagonal entry per
+/// boundary face) and merged by `build()`.
+DiscreteSystem triplet_reference(const mesh::RectilinearMesh& m, const BoundarySet& bcs,
+                                 const math::Vector* cell_conductivity) {
+  const std::size_t n = m.cell_count();
+  const auto& lib = m.materials_library();
+  auto conductivity = [&](std::size_t cell) {
+    return cell_conductivity != nullptr ? (*cell_conductivity)[cell]
+                                        : lib.get(m.material(cell)).conductivity;
+  };
+  math::CsrBuilder builder(n, n);
+  math::Vector rhs(n, 0.0);
+  math::Vector capacitance(n, 0.0);
+  const std::size_t extent[3] = {m.nx(), m.ny(), m.nz()};
+  const mesh::AxisGrid* axes[3] = {&m.x(), &m.y(), &m.z()};
+  for (std::size_t iz = 0; iz < m.nz(); ++iz) {
+    for (std::size_t iy = 0; iy < m.ny(); ++iy) {
+      for (std::size_t ix = 0; ix < m.nx(); ++ix) {
+        const std::size_t cell = m.index(ix, iy, iz);
+        const std::size_t at[3] = {ix, iy, iz};
+        const double d[3] = {m.x().cell_width(ix), m.y().cell_width(iy), m.z().cell_width(iz)};
+        const double areas[3] = {d[1] * d[2], d[0] * d[2], d[0] * d[1]};
+        rhs[cell] += m.power(cell);
+        const auto& mat = lib.get(m.material(cell));
+        capacitance[cell] = mat.density * mat.specific_heat * d[0] * d[1] * d[2];
+        for (int axis = 0; axis < 3; ++axis) {
+          if (at[axis] + 1 == extent[axis]) {
+            continue;
+          }
+          std::size_t up[3] = {ix, iy, iz};
+          ++up[axis];
+          const std::size_t nb = m.index(up[0], up[1], up[2]);
+          const double d2 = axes[axis]->cell_width(up[axis]);
+          const double g =
+              areas[axis] / (d[axis] / (2.0 * conductivity(cell)) + d2 / (2.0 * conductivity(nb)));
+          builder.add(cell, cell, g);
+          builder.add(nb, nb, g);
+          builder.add(cell, nb, -g);
+          builder.add(nb, cell, -g);
+        }
+      }
+    }
+  }
+  for (int f = 0; f < 6; ++f) {
+    const FaceBc& bc = bcs.faces[f];
+    if (bc.kind == BcKind::kAdiabatic) {
+      continue;
+    }
+    const int axis = f / 2;
+    const bool at_max = (f % 2) == 1;
+    for (std::size_t iz = 0; iz < m.nz(); ++iz) {
+      for (std::size_t iy = 0; iy < m.ny(); ++iy) {
+        for (std::size_t ix = 0; ix < m.nx(); ++ix) {
+          const std::size_t at[3] = {ix, iy, iz};
+          if (at[axis] != (at_max ? extent[axis] - 1 : 0)) {
+            continue;
+          }
+          const std::size_t cell = m.index(ix, iy, iz);
+          const double d[3] = {m.x().cell_width(ix), m.y().cell_width(iy),
+                               m.z().cell_width(iz)};
+          const double area = axis == 0 ? d[1] * d[2] : axis == 1 ? d[0] * d[2] : d[0] * d[1];
+          geometry::Vec3 center{m.x().cell_center(ix), m.y().cell_center(iy),
+                                m.z().cell_center(iz)};
+          const double wall = at_max ? axes[axis]->hi() : axes[axis]->lo();
+          (axis == 0 ? center.x : axis == 1 ? center.y : center.z) = wall;
+          const double g =
+              reference_boundary_conductance(bc, area, d[axis], conductivity(cell));
+          builder.add(cell, cell, g);
+          rhs[cell] += g * reference_wall_temperature(bc, center);
+        }
+      }
+    }
+  }
+  return DiscreteSystem{builder.build(), std::move(rhs), std::move(capacitance)};
+}
+
+TEST(Fvm, AssemblyMatchesTripletReference) {
+  // Silicon slab with an off-centre copper block: two materials, and the
+  // block's edges make x, y and z non-uniform.
+  const double a = 1e-3;
+  const double t = 200e-6;
+  Scene scene = slab(a, t);
+  add_heater(scene, Box3::make({0.3e-3, 0.45e-3, 0.0}, {0.75e-3, 0.8e-3, 70e-6}), 0.5,
+             "copper");
+  const auto m = mesh::RectilinearMesh::build(scene, uniform_mesh_options(90e-6, 45e-6));
+  ASSERT_GT(m.nx(), 3u);
+  ASSERT_GT(m.nz(), 3u);
+
+  BoundarySet bcs;
+  bcs[Face::kXMin] = FaceBc::convection(500.0, 30.0);
+  bcs[Face::kXMax] = FaceBc::dirichlet(45.0);
+  bcs[Face::kYMin] = FaceBc::dirichlet_field(
+      [](const geometry::Vec3& p) { return 25.0 + 1e4 * p.x - 3e3 * p.z; });
+  bcs[Face::kYMax] = FaceBc::adiabatic();
+  bcs[Face::kZMin] = FaceBc::convection(1e3, 25.0);
+  bcs[Face::kZMax] = FaceBc::dirichlet_field(
+      [](const geometry::Vec3& p) { return 60.0 - 2e4 * p.y; });
+
+  math::Vector k_override(m.cell_count());
+  for (std::size_t cell = 0; cell < m.cell_count(); ++cell) {
+    k_override[cell] = m.materials_library().get(m.material(cell)).conductivity *
+                       (1.0 + 0.05 * static_cast<double>(cell % 7));
+  }
+
+  for (const math::Vector* override_k : {static_cast<const math::Vector*>(nullptr),
+                                         static_cast<const math::Vector*>(&k_override)}) {
+    SCOPED_TRACE(override_k != nullptr ? "conductivity override" : "material conductivity");
+    const DiscreteSystem got = assemble(m, bcs, override_k);
+    const DiscreteSystem want = triplet_reference(m, bcs, override_k);
+    ASSERT_EQ(got.matrix.row_ptr(), want.matrix.row_ptr());
+    ASSERT_EQ(got.matrix.col_idx(), want.matrix.col_idx());
+    for (std::size_t r = 0; r < got.matrix.rows(); ++r) {
+      for (std::size_t k = got.matrix.row_ptr()[r]; k < got.matrix.row_ptr()[r + 1]; ++k) {
+        const double g = got.matrix.values()[k];
+        const double w = want.matrix.values()[k];
+        if (got.matrix.col_idx()[k] == r) {
+          // Only the diagonal's summation order differs from the reference.
+          ASSERT_NEAR(g, w, 1e-14 * std::abs(w)) << "diagonal of row " << r;
+        } else {
+          ASSERT_EQ(g, w) << "row " << r << " col " << got.matrix.col_idx()[k];
+        }
+      }
+    }
+    EXPECT_EQ(got.rhs, want.rhs);
+    EXPECT_EQ(got.capacitance, want.capacitance);
+    EXPECT_TRUE(got.matrix.is_symmetric(0.0));
   }
 }
 

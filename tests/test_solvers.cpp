@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "support/fixtures.hpp"
 #include "thermal/fvm.hpp"
@@ -566,6 +567,63 @@ TEST(Chebyshev, ShiftedOperatorTightensTheSpectrumInterval) {
   EXPECT_LT(shifted.lambda_max(), 1.5);
   EXPECT_NEAR(shifted.lambda_min(), 2.0 - shifted.lambda_max(), 1e-12 * shifted.lambda_max());
   EXPECT_GT(shifted.lambda_min(), shifted.lambda_max() / ChebyshevSettings().eig_ratio);
+}
+
+
+TEST(Ilu0, ApplyIgnoresStaleOutputBuffer) {
+  const auto mesh = heated_mesh(80e-6, 90e-6);
+  const Ilu0Preconditioner precond(thermal::assemble(mesh, all_faces_bcs()).matrix);
+  const std::size_t n = mesh.cell_count();
+  const Vector r = random_vector(n, 31);
+  Vector fresh;
+  precond.apply(r, fresh);
+  ASSERT_EQ(fresh.size(), n);
+  for (const std::size_t size : {n + 7, n - 5, n}) {
+    Vector stale(size, std::nan(""));
+    for (std::size_t i = 0; i < size; i += 3) {
+      stale[i] = 1e300;
+    }
+    precond.apply(r, stale);
+    ASSERT_EQ(stale.size(), n);
+    EXPECT_EQ(std::memcmp(stale.data(), fresh.data(), n * sizeof(double)), 0)
+        << "stale buffer of size " << size;
+  }
+}
+
+TEST(Ilu0, ApplyInvertsItsFactors) {
+  const auto mesh = heated_mesh(80e-6, 90e-6);
+  const CsrMatrix a = thermal::assemble(mesh, all_faces_bcs()).matrix;
+  const Ilu0Preconditioner precond(a);
+  const CsrMatrix lu = precond.factors();
+  ASSERT_EQ(lu.row_ptr(), a.row_ptr());
+  ASSERT_EQ(lu.col_idx(), a.col_idx());
+
+  const std::size_t n = a.rows();
+  const Vector r = random_vector(n, 37);
+  Vector z;
+  precond.apply(r, z);
+  // Rebuild L U z from the stored factors: u = U z, then L u (unit diagonal).
+  Vector u(n, 0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t k = lu.row_ptr()[i]; k < lu.row_ptr()[i + 1]; ++k) {
+      if (lu.col_idx()[k] >= i) {
+        u[i] += lu.values()[k] * z[lu.col_idx()[k]];
+      }
+    }
+  }
+  double max_err = 0.0;
+  double max_r = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    double lu_z = u[i];
+    for (std::size_t k = lu.row_ptr()[i]; k < lu.row_ptr()[i + 1]; ++k) {
+      if (lu.col_idx()[k] < i) {
+        lu_z += lu.values()[k] * u[lu.col_idx()[k]];
+      }
+    }
+    max_err = std::max(max_err, std::abs(lu_z - r[i]));
+    max_r = std::max(max_r, std::abs(r[i]));
+  }
+  EXPECT_LE(max_err, 1e-12 * max_r);
 }
 
 }  // namespace

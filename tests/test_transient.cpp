@@ -257,5 +257,24 @@ TEST(Transient, PreconditionerIsCachedAcrossStepsAndRebuiltOnNewDt) {
   }
 }
 
+
+TEST(Transient, SteppingMatrixAddsCapacitanceToTheStoredDiagonal) {
+  const Rig rig = make_rig(0.3);
+  const DiscreteSystem system = assemble(*rig.mesh, rig.bcs);
+  const double dt = 3e-4;
+  const math::CsrMatrix s = stepping_matrix(system, dt);
+  const math::CsrMatrix& a = system.matrix;
+  ASSERT_EQ(s.row_ptr(), a.row_ptr());
+  ASSERT_EQ(s.col_idx(), a.col_idx());
+  for (std::size_t r = 0; r < a.rows(); ++r) {
+    for (std::size_t k = a.row_ptr()[r]; k < a.row_ptr()[r + 1]; ++k) {
+      const double expected = a.col_idx()[k] == r
+                                  ? a.values()[k] + system.capacitance[r] / dt
+                                  : a.values()[k];
+      ASSERT_EQ(s.values()[k], expected) << "row " << r << " col " << a.col_idx()[k];
+    }
+  }
+}
+
 }  // namespace
 }  // namespace photherm::thermal
