@@ -1,10 +1,8 @@
-/// Timeline playback throughput and the two big cost levers:
+/// Timeline playback throughput and its cost levers:
 ///
-///  - the warm-start payoff: play the builtin transient suite over a fixed
-///    horizon with the per-step CG solves seeded from the previous state
-///    (the TransientSolver default) and from zero (--cold-start
-///    equivalent), and report steps/sec plus the iteration savings — the
-///    savings grow as the field approaches steady state;
+///  - warm-started stepping: play the builtin transient suite over a fixed
+///    horizon (each per-step CG solve is seeded from the previous state)
+///    and report steps/sec and CG iterations per step;
 ///  - the adaptive-dt payoff: play the settle-bound builtin soak suite
 ///    until settle on the fixed grid and with adaptive stepping, and
 ///    report linear solves (steps), total CG iterations, steps/sec and
@@ -91,12 +89,9 @@ int main(int argc, char** argv) {
   timeline::PlaybackOptions fixed_horizon;
   fixed_horizon.time_step = 0.2;
   fixed_horizon.max_periods = 60;
-  fixed_horizon.stop_on_settle = false;  // equal horizons for both modes
-  timeline::PlaybackOptions cold_start = fixed_horizon;
-  cold_start.warm_start = false;
+  fixed_horizon.stop_on_settle = false;  // a schedule-determined step count
 
   const Run warm = play(suite, fixed_horizon);
-  const Run cold = play(suite, cold_start);
 
   // Settle-bound horizon: the adaptive scheme grows the step while the
   // field crawls, so the same settled field costs a small, horizon-
@@ -125,7 +120,6 @@ int main(int argc, char** argv) {
 #endif
               << "  },\n  \"benchmarks\": [\n";
     emit_json_benchmark(std::cout, "timeline_playback/transient_warm_start", warm, false);
-    emit_json_benchmark(std::cout, "timeline_playback/transient_cold_start", cold, false);
     emit_json_benchmark(std::cout, "timeline_playback/soak_fixed_dt", fixed_run, false);
     emit_json_benchmark(std::cout, "timeline_playback/soak_adaptive_dt", adaptive_run, true);
     std::cout << "  ]\n}\n";
@@ -134,15 +128,7 @@ int main(int argc, char** argv) {
 
   Table table({"mode", "steps", "CG iterations", "iters/step", "steps/sec"});
   add_row(table, "warm start", warm);
-  add_row(table, "cold start", cold);
   print_table(std::cout, "timeline playback (builtin:transient, fixed 60-period horizon)", table);
-
-  const double saved =
-      1.0 - static_cast<double>(warm.result.stats.total_cg_iterations) /
-                static_cast<double>(cold.result.stats.total_cg_iterations);
-  std::cout << "warm-start saves " << saved * 100.0 << "% of the CG iterations on this "
-            << "horizon (the margin widens near settle, where a warm step costs O(1) "
-            << "iterations)\n";
 
   Table soak_table({"mode", "steps", "CG iterations", "iters/step", "steps/sec"});
   add_row(soak_table, "fixed dt", fixed_run);

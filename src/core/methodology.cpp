@@ -105,9 +105,6 @@ thermal::TwoLevelOptions ThermalAwareDesigner::two_level_options() const {
   options.local_mesh.default_max_cell_xy = 25e-6;
   options.local_mesh.min_feature_size_xy = 0.0;
   options.window_margin = spec_.window_margin;
-  if (steady_override_) {
-    options.solver = *steady_override_;
-  }
   return options;
 }
 
@@ -170,13 +167,6 @@ std::string ThermalAwareDesigner::make_global_key(const soc::SccSystem& system) 
   num(options.global_mesh.default_max_cell_xy);
   num(options.global_mesh.default_max_cell_z);
   num(options.global_mesh.min_feature_size_xy);
-
-  const math::SolverOptions& solver = options.solver.solver;
-  os << "solver:" << solver.max_iterations << '|' << static_cast<int>(solver.preconditioner)
-     << '|' << solver.chebyshev.degree << '|';
-  num(solver.chebyshev.eig_ratio);
-  num(solver.rel_tolerance);
-  num(solver.convergence_slack);
 
   os << "scene:";
   const geometry::MaterialLibrary& materials = system.scene.materials();
@@ -353,8 +343,7 @@ DesignReport ThermalAwareDesigner::run(const CoarseGlobalSolve& global) const {
 }
 
 std::vector<HeaterSweepPoint> explore_heater_ratios(const OnocDesignSpec& base,
-                                                    const std::vector<double>& ratios,
-                                                    const SweepOptions& sweep_options) {
+                                                    const std::vector<double>& ratios) {
   PH_REQUIRE(!ratios.empty(), "no heater ratios to explore");
   std::vector<HeaterSweepPoint> sweep(ratios.size());
 
@@ -381,11 +370,7 @@ std::vector<HeaterSweepPoint> explore_heater_ratios(const OnocDesignSpec& base,
     for (std::size_t idx = begin; idx < end; ++idx) {
       OnocDesignSpec spec = base;
       spec.heater_ratio = ratios[idx];
-      ThermalAwareDesigner designer(spec);
-      if (sweep_options.solver) {
-        designer.set_steady_options(*sweep_options.solver);
-      }
-      const ThermalReport thermal = designer.evaluate_thermal(representative);
+      const ThermalReport thermal = ThermalAwareDesigner(spec).evaluate_thermal(representative);
       HeaterSweepPoint point;
       point.heater_ratio = ratios[idx];
       point.p_heater = spec.p_heater();

@@ -13,14 +13,15 @@ namespace {
 
 /// Inverted diagonal with the actionable guard the Krylov stack relies on:
 /// a zero diagonal would divide to inf and a negative one silently breaks
-/// the SPD preconditioners, and either surfaces much later as a cryptic CG
+/// the SPD preconditioner, and either surfaces much later as a cryptic CG
 /// non-convergence. Fail at construction, naming the row.
-Vector checked_inverse_diagonal(const CsrMatrix& a, const char* who) {
+Vector checked_inverse_diagonal(const CsrMatrix& a) {
   Vector inv_diag = a.diagonal();
   for (std::size_t i = 0; i < inv_diag.size(); ++i) {
     if (!(inv_diag[i] > 0.0)) {
       std::ostringstream os;
-      os << who << ": non-positive diagonal entry " << inv_diag[i] << " at row " << i
+      os << "Chebyshev preconditioner: non-positive diagonal entry " << inv_diag[i]
+         << " at row " << i
          << " (the operator must be SPD; check the assembly feeding this solve)";
       throw Error(os.str());
     }
@@ -47,86 +48,7 @@ double scaled_row_sum_bound(const CsrMatrix& a, const Vector& scale) {
   return bound;
 }
 
-/// Elementwise z[i] = r[i] * d[i], threaded chunk-ordered like the vector
-/// kernels (serial below kSerialCutoff): a serial diagonal scale inside an
-/// otherwise-threaded CG iteration would be the one unthreaded stage.
-void scaled_copy(const Vector& r, const Vector& d, Vector& z) {
-  z.resize(r.size());
-  auto body = [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      z[i] = r[i] * d[i];
-    }
-  };
-  if (r.size() < util::kSerialCutoff) {
-    body(0, r.size());
-    return;
-  }
-  util::parallel_for(r.size(), util::kKernelGrain, body);
-}
-
 }  // namespace
-
-void IdentityPreconditioner::apply(const Vector& r, Vector& z) const {
-  telemetry::count("precond.identity.applies");
-  z = r;
-}
-
-JacobiPreconditioner::JacobiPreconditioner(const CsrMatrix& a)
-    : inv_diag_(checked_inverse_diagonal(a, "Jacobi preconditioner")) {}
-
-void JacobiPreconditioner::apply(const Vector& r, Vector& z) const {
-  PH_REQUIRE(r.size() == inv_diag_.size(), "Jacobi apply: size mismatch");
-  telemetry::count("precond.jacobi.applies");
-  scaled_copy(r, inv_diag_, z);
-}
-
-SsorPreconditioner::SsorPreconditioner(const CsrMatrix& a, double omega)
-    : row_ptr_(a.row_ptr()), col_idx_(a.col_idx()), values_(a.values()), omega_(omega) {
-  PH_REQUIRE(omega > 0.0 && omega < 2.0, "SSOR omega must be in (0, 2)");
-  diag_ = a.diagonal();
-  for (std::size_t i = 0; i < diag_.size(); ++i) {
-    if (!(diag_[i] > 0.0)) {
-      std::ostringstream os;
-      os << "SSOR preconditioner: non-positive diagonal entry " << diag_[i] << " at row " << i;
-      throw Error(os.str());
-    }
-  }
-}
-
-void SsorPreconditioner::apply(const Vector& r, Vector& z) const {
-  const std::size_t n = diag_.size();
-  PH_REQUIRE(r.size() == n, "SSOR apply: size mismatch");
-  telemetry::count("precond.ssor.applies");
-
-  // Forward sweep: (D/w + L) y = r
-  Vector y(n, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    double acc = r[i];
-    for (std::size_t k = row_ptr_[i]; k < row_ptr_[i + 1]; ++k) {
-      const std::size_t j = col_idx_[k];
-      if (j < i) {
-        acc -= values_[k] * y[j];
-      }
-    }
-    y[i] = acc * omega_ / diag_[i];
-  }
-  // Scale: y = D/w * y * (2-w)/w  -> combined below with backward sweep.
-  for (std::size_t i = 0; i < n; ++i) {
-    y[i] *= diag_[i] * (2.0 - omega_) / omega_;
-  }
-  // Backward sweep: (D/w + U) z = y
-  z.assign(n, 0.0);
-  for (std::size_t ii = n; ii-- > 0;) {
-    double acc = y[ii];
-    for (std::size_t k = row_ptr_[ii]; k < row_ptr_[ii + 1]; ++k) {
-      const std::size_t j = col_idx_[k];
-      if (j > ii) {
-        acc -= values_[k] * z[j];
-      }
-    }
-    z[ii] = acc * omega_ / diag_[ii];
-  }
-}
 
 Ilu0Preconditioner::Ilu0Preconditioner(const CsrMatrix& a)
     : row_ptr_(a.row_ptr()), col_idx_(a.col_idx()), values_(a.values()), n_(a.rows()) {
@@ -225,7 +147,7 @@ void Ilu0Preconditioner::apply(const Vector& r, Vector& z) const {
 ChebyshevPreconditioner::ChebyshevPreconditioner(const CsrMatrix& a,
                                                  const ChebyshevSettings& settings)
     : a_(a),
-      inv_diag_(checked_inverse_diagonal(a, "Chebyshev preconditioner")),
+      inv_diag_(checked_inverse_diagonal(a)),
       degree_(settings.degree) {
   PH_REQUIRE(settings.degree >= 1, "Chebyshev degree must be at least 1");
   PH_REQUIRE(settings.eig_ratio > 1.0, "Chebyshev eig_ratio must exceed 1");
@@ -301,12 +223,6 @@ void ChebyshevPreconditioner::apply(const Vector& r, Vector& z) const {
 
 const char* to_string(PreconditionerKind kind) {
   switch (kind) {
-    case PreconditionerKind::kIdentity:
-      return "identity";
-    case PreconditionerKind::kJacobi:
-      return "jacobi";
-    case PreconditionerKind::kSsor:
-      return "ssor";
     case PreconditionerKind::kIlu0:
       return "ilu0";
     case PreconditionerKind::kChebyshev:
@@ -316,33 +232,23 @@ const char* to_string(PreconditionerKind kind) {
 }
 
 PreconditionerKind preconditioner_kind_from_string(const std::string& name) {
-  for (PreconditionerKind kind :
-       {PreconditionerKind::kIdentity, PreconditionerKind::kJacobi, PreconditionerKind::kSsor,
-        PreconditionerKind::kIlu0, PreconditionerKind::kChebyshev}) {
+  for (PreconditionerKind kind : {PreconditionerKind::kIlu0, PreconditionerKind::kChebyshev}) {
     if (name == to_string(kind)) {
       return kind;
     }
   }
-  throw Error("unknown preconditioner `" + name +
-              "` (expected identity, jacobi, ssor, ilu0 or chebyshev)");
+  throw Error("unknown preconditioner `" + name + "` (expected ilu0 or chebyshev)");
 }
 
 std::unique_ptr<Preconditioner> make_preconditioner(PreconditionerKind kind, const CsrMatrix& a,
                                                     const ChebyshevSettings& chebyshev) {
   telemetry::Span span("precond.build", to_string(kind));
-  if (telemetry::enabled()) {
-    telemetry::count(std::string("precond.") + to_string(kind) + ".builds");
-  }
   switch (kind) {
-    case PreconditionerKind::kIdentity:
-      return std::make_unique<IdentityPreconditioner>();
-    case PreconditionerKind::kJacobi:
-      return std::make_unique<JacobiPreconditioner>(a);
-    case PreconditionerKind::kSsor:
-      return std::make_unique<SsorPreconditioner>(a);
     case PreconditionerKind::kIlu0:
+      telemetry::count("precond.ilu0.builds");
       return std::make_unique<Ilu0Preconditioner>(a);
     case PreconditionerKind::kChebyshev:
+      telemetry::count("precond.chebyshev.builds");
       return std::make_unique<ChebyshevPreconditioner>(a, chebyshev);
   }
   throw Error("unknown preconditioner kind");

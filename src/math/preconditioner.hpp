@@ -1,8 +1,9 @@
 /// \file preconditioner.hpp
-/// \brief Preconditioners for conjugate gradient on a CsrMatrix: Jacobi,
-/// SSOR, ILU(0) (the default) and a fixed-degree Chebyshev polynomial. The
-/// FVM conduction matrix is an SPD M-matrix, so ILU(0) exists and is stable
-/// without pivoting.
+/// \brief Preconditioners for conjugate gradient on a CsrMatrix: ILU(0),
+/// which every shipped solve runs, and a fixed-degree Chebyshev polynomial,
+/// the one alternative whose apply threads (degree 1 is plain diagonal
+/// scaling). The FVM conduction matrix is an SPD M-matrix, so ILU(0)
+/// exists and is stable without pivoting.
 ///
 /// Every preconditioner owns all the data it applies — none keeps a
 /// pointer into the caller's matrix — so rebuilding or destroying A after
@@ -24,45 +25,10 @@ namespace photherm::math {
 class Preconditioner {
  public:
   virtual ~Preconditioner() = default;
-  /// Results are bit-identical at every thread count. The elementwise
-  /// (Jacobi) and SpMV-based (Chebyshev) applies thread chunk-ordered at
-  /// the enclosing budget; the triangular-solve applies (SSOR, ILU(0)) are
-  /// inherently sequential.
+  /// Results are bit-identical at every thread count. The Chebyshev apply
+  /// (SpMV + elementwise kernels) threads chunk-ordered at the enclosing
+  /// budget; the ILU(0) triangular solves are inherently sequential.
   virtual void apply(const Vector& r, Vector& z) const = 0;
-};
-
-/// Identity (no preconditioning).
-class IdentityPreconditioner final : public Preconditioner {
- public:
-  void apply(const Vector& r, Vector& z) const override;
-};
-
-/// Diagonal scaling.
-class JacobiPreconditioner final : public Preconditioner {
- public:
-  explicit JacobiPreconditioner(const CsrMatrix& a);
-  void apply(const Vector& r, Vector& z) const override;
-
- private:
-  Vector inv_diag_;
-};
-
-/// Symmetric successive over-relaxation used as a preconditioner:
-/// M = (D/w + L) (D/w)^{-1} (D/w + U) * w/(2-w). Keeps symmetry for CG.
-/// Owns a copy of the matrix arrays: a caller that rebuilds A between
-/// applies (e.g. TransientSolver::set_time_step) gets the M it constructed,
-/// never a read of freed storage.
-class SsorPreconditioner final : public Preconditioner {
- public:
-  explicit SsorPreconditioner(const CsrMatrix& a, double omega = 1.0);
-  void apply(const Vector& r, Vector& z) const override;
-
- private:
-  std::vector<std::size_t> row_ptr_;
-  std::vector<std::uint32_t> col_idx_;
-  std::vector<double> values_;
-  double omega_;
-  Vector diag_;
 };
 
 /// Incomplete LU with zero fill-in on the sparsity pattern of A.
@@ -92,7 +58,8 @@ class Ilu0Preconditioner final : public Preconditioner {
 struct ChebyshevSettings {
   /// Chebyshev steps per apply; an apply costs `degree - 1` operator
   /// applications (plus elementwise work), so the polynomial in A has
-  /// degree `degree - 1`. Must be >= 1 (1 degenerates to scaled Jacobi).
+  /// degree `degree - 1`. Must be >= 1; degree 1 is the diagonal-scaling
+  /// (Jacobi) preconditioner z = D^{-1} r / theta.
   /// The default is the wall-time sweet spot on the fine FVM meshes
   /// (bench_solver_perf BM_CgChebyshevDegree): going from 4 to 8 halves
   /// the CG iteration count for the same wall time, past ~12 the extra
@@ -112,9 +79,9 @@ struct ChebyshevSettings {
 /// inverse on [lambda_max / eig_ratio, lambda_max] and lambda_max bounded
 /// by the (deterministic, iteration-free) Gershgorin row sums. The apply
 /// needs nothing but SpMV + elementwise kernels, so unlike the triangular
-/// solves of SSOR/ILU(0) it threads chunk-ordered end to end, and its
-/// setup cost is one diagonal pass — exactly what the adaptive-dt
-/// reassembly path wants. Symmetric by construction
+/// solves of ILU(0) it threads chunk-ordered end to end, and its setup cost
+/// is one diagonal pass. With `degree = 1` it is the diagonal-scaling
+/// (Jacobi) preconditioner. Symmetric by construction
 /// (p(D^{-1}A) D^{-1} = D^{-1/2} p(D^{-1/2} A D^{-1/2}) D^{-1/2}), so CG
 /// applies. Owns a copy of the matrix: no stale-matrix hazard.
 class ChebyshevPreconditioner final : public Preconditioner {
@@ -133,7 +100,7 @@ class ChebyshevPreconditioner final : public Preconditioner {
   double lambda_min_ = 0.0;
 };
 
-enum class PreconditionerKind { kIdentity, kJacobi, kSsor, kIlu0, kChebyshev };
+enum class PreconditionerKind { kIlu0, kChebyshev };
 
 const char* to_string(PreconditionerKind kind);
 PreconditionerKind preconditioner_kind_from_string(const std::string& name);

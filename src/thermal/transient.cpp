@@ -71,16 +71,12 @@ const ThermalField& TransientSolver::step() {
     rhs[i] = system_.capacitance[i] / options_.time_step * state_[i] + bc_rhs_[i] +
              power_scale_ * power_[i];
   }
-  if (options_.warm_start) {
-    // state_ already has the system size, so CG keeps it as the initial
-    // guess (solvers.hpp warm-start contract) — the previous step's field.
-    last_solve_ =
-        math::conjugate_gradient(stepping_matrix_, rhs, state_, *precond_, options_.solver);
-  } else {
-    math::Vector x;  // empty -> CG starts from the zero vector
-    last_solve_ = math::conjugate_gradient(stepping_matrix_, rhs, x, *precond_, options_.solver);
-    state_ = std::move(x);
-  }
+  // Warm start: the update (C/dt + A) T_{n+1} = (C/dt) T_n + q moves the
+  // field a little per step, so the previous state is an excellent initial
+  // guess. state_ has the system size, so CG keeps it as the guess
+  // (solvers.hpp warm-start contract).
+  last_solve_ =
+      math::conjugate_gradient(stepping_matrix_, rhs, state_, *precond_, options_.solver);
   stats_.steps += 1;
   stats_.total_cg_iterations += last_solve_.iterations;
   stats_.max_cg_iterations = std::max(stats_.max_cg_iterations, last_solve_.iterations);

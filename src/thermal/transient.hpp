@@ -17,14 +17,6 @@ namespace photherm::thermal {
 struct TransientOptions {
   double time_step = 1e-3;  ///< [s]
   math::SolverOptions solver;
-  /// Seed each step's CG solve with the previous state. The stepping update
-  /// (C/dt + A) T_{n+1} = (C/dt) T_n + q moves the field a little per step,
-  /// so the previous state is an excellent initial guess and cuts the
-  /// per-step iteration count hard (see bench_timeline_playback). Off
-  /// restarts every solve from the zero vector — only useful to measure the
-  /// warm-start savings; results agree within the solver tolerance but are
-  /// not bit-identical.
-  bool warm_start = true;
   TransientOptions() {
     solver.rel_tolerance = 1e-10;
     // Warm-started per-step solves: same explicit recursive-vs-true residual

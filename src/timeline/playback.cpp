@@ -75,7 +75,6 @@ Playback::Playback(const scenario::ScenarioSpec& spec, const PlaybackOptions& op
 
   thermal::TransientOptions transient_options;
   transient_options.time_step = dt_;
-  transient_options.warm_start = options_.warm_start;
   transient_options.solver = options_.solver;
   solver_.emplace(mesh_, boundary_set_, transient_options);
   solver_->set_uniform_state(spec.design.package.t_ambient);
@@ -120,7 +119,6 @@ Playback::Playback(const scenario::ScenarioSpec& spec, const PlaybackOptions& op
 
   thermal::TransientOptions transient_options;
   transient_options.time_step = dt_;
-  transient_options.warm_start = options_.warm_start;
   transient_options.solver = options_.solver;
   solver_.emplace(mesh_, boundary_set_, transient_options);
   solver_->set_state(thermal::ThermalField(mesh_, checkpoint.state));

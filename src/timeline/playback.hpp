@@ -73,8 +73,6 @@ struct PlaybackOptions {
   /// the settle criterion above or, for oscillating schedules, the
   /// cycle-over-cycle periodic-steady criterion.
   bool stop_on_settle = true;
-  /// Warm-start each step's CG from the previous state (TransientOptions).
-  bool warm_start = true;
   /// Solver knobs for both the per-step solves and the steady reference.
   /// Defaults to TransientOptions' tolerances.
   math::SolverOptions solver = thermal::TransientOptions{}.solver;

@@ -185,14 +185,8 @@ const std::vector<std::pair<std::string, std::string>>& catalog() {
       {"pool.queue_wait", "timer"},
       {"precond.chebyshev.applies", "counter"},
       {"precond.chebyshev.builds", "counter"},
-      {"precond.identity.applies", "counter"},
-      {"precond.identity.builds", "counter"},
       {"precond.ilu0.applies", "counter"},
       {"precond.ilu0.builds", "counter"},
-      {"precond.jacobi.applies", "counter"},
-      {"precond.jacobi.builds", "counter"},
-      {"precond.ssor.applies", "counter"},
-      {"precond.ssor.builds", "counter"},
       {"solver.conjugate_gradient.iterations", "counter"},
       {"solver.conjugate_gradient.relative_residual", "gauge"},
       {"solver.conjugate_gradient.solves", "counter"},

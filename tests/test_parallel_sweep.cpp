@@ -186,7 +186,8 @@ TEST(ParallelSweep, ThreadedSolverIsBitIdenticalAcrossThreadCounts) {
     ConcurrencyGuard guard(threads);
     math::Vector x;
     math::SolverOptions options;
-    options.preconditioner = math::PreconditionerKind::kJacobi;
+    options.preconditioner = math::PreconditionerKind::kChebyshev;
+    options.chebyshev.degree = 1;
     const auto result = math::conjugate_gradient(a, b, x, options);
     EXPECT_TRUE(result.converged);
     return std::make_pair(x, result.iterations);

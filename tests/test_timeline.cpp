@@ -200,28 +200,6 @@ TEST(Timeline, RunnerTracesAreBitIdenticalAcrossThreadCounts) {
             timeline::timeline_table(threaded).to_csv());
 }
 
-TEST(Timeline, WarmStartCutsCgIterations) {
-  ScenarioSpec s = coarse_scenario();
-  s.schedule = {{1.0, 1.0}};
-
-  timeline::PlaybackOptions options;
-  options.time_step = 1.0;
-  options.max_periods = 30;
-  options.stop_on_settle = false;
-
-  timeline::PlaybackOptions cold = options;
-  cold.warm_start = false;
-  const timeline::TimelineTrace warm_trace = timeline::play_scenario(s, options);
-  const timeline::TimelineTrace cold_trace = timeline::play_scenario(s, cold);
-
-  ASSERT_EQ(warm_trace.step_count(), cold_trace.step_count());
-  EXPECT_LT(warm_trace.stats.total_cg_iterations, cold_trace.stats.total_cg_iterations);
-  // Same physics either way: the final fields agree to solver tolerance.
-  for (std::size_t p = 0; p < warm_trace.probe_names.size(); ++p) {
-    EXPECT_NEAR(warm_trace.samples.back()[p], cold_trace.samples.back()[p], 1e-6);
-  }
-}
-
 TEST(Timeline, TablesRenderTheTraces) {
   std::vector<ScenarioSpec> suite{coarse_scenario()};
   suite[0].schedule = {{0.4, 1.0}};

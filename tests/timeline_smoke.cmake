@@ -4,7 +4,9 @@
 # vs threaded — the time-series CSVs must be bit-identical, the
 # TimelineRunner determinism guarantee), then compare against the checked-in
 # golden CSV within a numeric tolerance (absorbs cross-platform
-# floating-point drift while still catching real regressions).
+# floating-point drift while still catching real regressions). The
+# Chebyshev-preconditioned playback must match the same golden, and the
+# removed preconditioners and flags must fail with their messages.
 
 foreach(var PHOTHERM_CLI GOLDEN WORK_DIR)
   if(NOT DEFINED ${var})
@@ -27,6 +29,18 @@ function(run_cli_expect_stderr regex)
   execute_process(COMMAND ${PHOTHERM_CLI} ${ARGN} RESULT_VARIABLE rv ERROR_VARIABLE err)
   if(NOT rv EQUAL 0)
     message(FATAL_ERROR "photherm_cli ${ARGN} failed with exit code ${rv}")
+  endif()
+  if(NOT err MATCHES "${regex}")
+    message(FATAL_ERROR "photherm_cli ${ARGN}: stderr does not match "
+                        "`${regex}`; got:\n${err}")
+  endif()
+endfunction()
+
+# The command must fail (non-zero exit) with stderr matching `regex`.
+function(run_cli_expect_failure regex)
+  execute_process(COMMAND ${PHOTHERM_CLI} ${ARGN} RESULT_VARIABLE rv ERROR_VARIABLE err)
+  if(rv EQUAL 0)
+    message(FATAL_ERROR "photherm_cli ${ARGN} succeeded; expected a failure")
   endif()
   if(NOT err MATCHES "${regex}")
     message(FATAL_ERROR "photherm_cli ${ARGN}: stderr does not match "
@@ -62,3 +76,12 @@ if(NOT serial_csv STREQUAL progress_csv)
 endif()
 
 run_cli(diff ${GOLDEN} ${WORK_DIR}/serial.csv --tol 1e-4)
+
+# Every preconditioner the CLI accepts must reproduce the golden trace.
+run_cli(${play_args} --threads 1 --precond chebyshev -o ${WORK_DIR}/chebyshev.csv)
+run_cli(diff ${GOLDEN} ${WORK_DIR}/chebyshev.csv --tol 1e-4)
+
+run_cli_expect_failure("unknown preconditioner `ssor` \\(expected ilu0 or chebyshev\\)"
+                       ${play_args} --precond ssor -o ${WORK_DIR}/ssor.csv)
+run_cli_expect_failure("unknown option `--cold-start` for play"
+                       ${play_args} --cold-start -o ${WORK_DIR}/cold.csv)

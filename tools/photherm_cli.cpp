@@ -11,7 +11,7 @@
 ///       bit-identical across thread counts and with the coarse-solve cache
 ///       on or off; cache statistics go to stderr.
 ///   photherm_cli play <suite> [--dt SEC] [--periods N] [--tol DEGC]
-///                     [--until-settle] [--adaptive] [--cold-start]
+///                     [--until-settle] [--adaptive] [--precond ilu0|chebyshev]
 ///                     [--summary] [--threads N] [-o FILE]
 ///                     [--pause-after N --checkpoint FILE] [--resume FILE]
 ///                     [--trace FILE] [--metrics FILE]
@@ -68,8 +68,8 @@ int usage(std::ostream& os, int exit_code) {
         "              [--trace FILE] [--metrics FILE]\n"
         "                                           run the batch, emit CSV\n"
         "  play <suite> [--dt SEC] [--periods N] [--tol DEGC] [--until-settle]\n"
-        "               [--adaptive] [--max-period-error REL] [--cold-start]\n"
-        "               [--precond NAME] [--summary] [--threads N]\n"
+        "               [--adaptive] [--max-period-error REL]\n"
+        "               [--precond ilu0|chebyshev] [--summary] [--threads N]\n"
         "               [--pause-after N --checkpoint FILE] [--resume FILE]\n"
         "               [--progress N] [--convergence]\n"
         "               [--trace FILE] [--metrics FILE] [-o FILE]\n"
@@ -84,7 +84,8 @@ int usage(std::ostream& os, int exit_code) {
         "Both embed a run manifest (git sha, build type, suite, threads) that\n"
         "photherm_report reads. --progress N logs a heartbeat stderr line\n"
         "every N steps; --convergence records per-iteration solver residuals\n"
-        "(SolverResult histories + trace counter events).\n";
+        "(SolverResult histories + trace counter events). --precond picks\n"
+        "play's CG preconditioner (default ilu0).\n";
   return exit_code;
 }
 
@@ -281,8 +282,6 @@ int cmd_play(const std::vector<std::string>& args) {
         } else if (arg == "--max-period-error") {
           playback.max_period_error =
               parse_double(value("--max-period-error"), "--max-period-error");
-        } else if (arg == "--cold-start") {
-          playback.warm_start = false;
         } else if (arg == "--progress") {
           playback.progress_every =
               static_cast<std::size_t>(parse_uint(value("--progress"), "--progress"));
