@@ -1,11 +1,11 @@
-/// Throughput of the scenario batch runner with the coarse-solve cache off
-/// vs on. The suite is the builtin "corners" suite (traffic patterns,
-/// ambient corners, WDM ladder): the WDM-ladder scenarios differ only in
-/// SNR knobs, so with the cache on they share one coarse global solve —
-/// the ROADMAP's "share the coarse global solve across sweep points" item.
-/// Verifies that cached results reproduce the cold solves bit for bit and
-/// reports scenarios/sec plus the cache hit rate. PHOTHERM_FAST=1 drops to
-/// the 4-scenario smoke suite.
+/// Throughput of the scenario batch runner with the solve cache off vs on.
+/// The suite is the builtin "corners" suite (traffic patterns, ambient
+/// corners, WDM ladder): the WDM-ladder scenarios differ only in SNR knobs,
+/// so with the cache on they share one coarse global solve and one thermal
+/// report (the fine ONI windows included). Verifies that cached results
+/// reproduce the cold solves bit for bit and reports scenarios/sec, the
+/// cache hit rate and the number of thermal problems actually solved.
+/// PHOTHERM_FAST=1 drops to the 4-scenario smoke suite.
 ///
 /// `--benchmark_format=json` swaps the human table for Google-Benchmark-
 /// shaped JSON (context + benchmarks array, one entry per configuration),
@@ -27,14 +27,15 @@ namespace {
 
 /// One gbench-shaped `benchmarks` entry per batch configuration: wall time
 /// plus the cache economics as user counters. The deterministic counters
-/// (global_solves, cache_hits, scenarios) are what the regression gate can
-/// pin exactly; the rates are informational.
+/// (global_solves, cache_hits, thermal_solves, scenarios) are what the
+/// regression gate can pin exactly; the rates are informational.
 struct JsonRow {
   std::string name;
   double seconds = 0.0;
   double scenarios = 0.0;
   double global_solves = 0.0;
   double cache_hits = 0.0;
+  double thermal_solves = 0.0;
 };
 
 void emit_json(std::ostream& os, const std::vector<JsonRow>& rows) {
@@ -61,6 +62,7 @@ void emit_json(std::ostream& os, const std::vector<JsonRow>& rows) {
        << "      \"scenarios\": " << format_shortest(row.scenarios) << ",\n"
        << "      \"global_solves\": " << format_shortest(row.global_solves) << ",\n"
        << "      \"cache_hits\": " << format_shortest(row.cache_hits) << ",\n"
+       << "      \"thermal_solves\": " << format_shortest(row.thermal_solves) << ",\n"
        << "      \"scenarios_per_second\": "
        << format_shortest(row.seconds > 0.0 ? row.scenarios / row.seconds : 0.0) << "\n"
        << "    }" << (i + 1 == rows.size() ? "\n" : ",\n");
@@ -103,7 +105,7 @@ int main(int argc, char** argv) {
   }
 
   Table table({"configuration", "wall time (s)", "scenarios/s", "global solves",
-               "cache hits", "hit rate", "bit-identical"});
+               "cache hits", "hit rate", "thermal solves", "bit-identical"});
 
   // Reference: serial and cold. The other configurations must reproduce its
   // CSV bit for bit — across the cache dimension *and* the thread count.
@@ -143,6 +145,7 @@ int main(int argc, char** argv) {
                    static_cast<double>(result.stats.global_solves),
                    static_cast<double>(result.stats.cache_hits),
                    static_cast<double>(result.stats.cache_hits) / n,
+                   static_cast<double>(result.stats.thermal_solves),
                    std::string(identical ? "yes" : "NO")});
     JsonRow row;
     row.name = config.bench_name;
@@ -150,6 +153,7 @@ int main(int argc, char** argv) {
     row.scenarios = n;
     row.global_solves = static_cast<double>(result.stats.global_solves);
     row.cache_hits = static_cast<double>(result.stats.cache_hits);
+    row.thermal_solves = static_cast<double>(result.stats.thermal_solves);
     json_rows.push_back(std::move(row));
     if (!identical) {
       std::cerr << "FAIL: `" << config.label << "` differs from the serial cold run\n";
@@ -164,8 +168,9 @@ int main(int argc, char** argv) {
     emit_json(std::cout, json_rows);
     return 0;
   }
-  print_table(std::cout, "batch runner: thread counts x coarse-solve cache", table);
-  std::cout << "\ncached coarse fields are bit-identical to cold solves; the speedup is\n"
-               "the shared global solves plus whatever parallelism the cores allow\n";
+  print_table(std::cout, "batch runner: thread counts x solve cache", table);
+  std::cout << "\ncached coarse fields and thermal reports are bit-identical to cold\n"
+               "solves; the speedup is the shared coarse and window solves plus whatever\n"
+               "parallelism the cores allow\n";
   return 0;
 }

@@ -21,8 +21,8 @@ int main() {
   base.design.oni_cell_z = 2e-6;
 
   // 2. Expand a family: WDM channel-count corners. These scenarios are
-  //    thermally identical, so the batch runner solves the coarse global
-  //    field once and shares it.
+  //    thermally identical, so the batch runner solves their thermal
+  //    problem (coarse field and ONI windows) once and shares the report.
   scenario::FamilySpec family;
   family.family = "wdm_ladder";
   family.prefix = "wdm";
@@ -34,7 +34,8 @@ int main() {
   const scenario::BatchResult result = scenario::BatchRunner().run(suite);
   std::cout << "ran " << result.stats.scenario_count << " scenarios with "
             << result.stats.global_solves << " coarse global solves ("
-            << result.stats.cache_hits << " cache hits)\n\n";
+            << result.stats.cache_hits << " cache hits) and "
+            << result.stats.thermal_solves << " thermal solves\n\n";
 
   // 4. Inspect the verdicts.
   Table table = scenario::batch_table(suite, result);

@@ -146,6 +146,24 @@ double device_gradient(const thermal::ThermalField& field,
 /// scenes serialize identically iff every number is bit-identical.
 void key_number(std::ostream& os, double value) { os << std::hexfloat << value << '|'; }
 
+void key_box(std::ostream& os, const Box3& box) {
+  for (const double v : {box.lo.x, box.lo.y, box.lo.z, box.hi.x, box.hi.y, box.hi.z}) {
+    key_number(os, v);
+  }
+}
+
+void key_mesh(std::ostream& os, const mesh::MeshOptions& options) {
+  os << options.background_material << '|' << options.max_cells << '|';
+  key_number(os, options.default_max_cell_xy);
+  key_number(os, options.default_max_cell_z);
+  key_number(os, options.min_feature_size_xy);
+  for (const mesh::RefinementBox& refine : options.refinements) {
+    key_box(os, refine.box);
+    key_number(os, refine.max_cell_xy);
+    key_number(os, refine.max_cell_z);
+  }
+}
+
 }  // namespace
 
 std::string ThermalAwareDesigner::make_global_key(const soc::SccSystem& system) const {
@@ -161,12 +179,8 @@ std::string ThermalAwareDesigner::make_global_key(const soc::SccSystem& system) 
     num(bc.t_wall);
   }
 
-  const thermal::TwoLevelOptions options = two_level_options();
-  os << "mesh:" << options.global_mesh.background_material << '|'
-     << options.global_mesh.max_cells << '|';
-  num(options.global_mesh.default_max_cell_xy);
-  num(options.global_mesh.default_max_cell_z);
-  num(options.global_mesh.min_feature_size_xy);
+  os << "mesh:";
+  key_mesh(os, global_mesh_options());
 
   os << "scene:";
   const geometry::MaterialLibrary& materials = system.scene.materials();
@@ -174,12 +188,7 @@ std::string ThermalAwareDesigner::make_global_key(const soc::SccSystem& system) 
     const geometry::Material& mat = materials.get(block.material);
     os << block.name << '|' << static_cast<int>(block.kind) << '|' << block.group << '|'
        << mat.name << '|';
-    num(block.box.lo.x);
-    num(block.box.lo.y);
-    num(block.box.lo.z);
-    num(block.box.hi.x);
-    num(block.box.hi.y);
-    num(block.box.hi.z);
+    key_box(os, block.box);
     num(block.power);
     num(mat.conductivity);
     num(mat.density);
@@ -191,18 +200,31 @@ std::string ThermalAwareDesigner::make_global_key(const soc::SccSystem& system) 
   os << "onis:";
   for (const soc::OniInstance& oni : system.onis) {
     os << oni.index << '|';
-    num(oni.footprint.lo.x);
-    num(oni.footprint.lo.y);
-    num(oni.footprint.lo.z);
-    num(oni.footprint.hi.x);
-    num(oni.footprint.hi.y);
-    num(oni.footprint.hi.z);
+    key_box(os, oni.footprint);
   }
   return os.str();
 }
 
 std::string ThermalAwareDesigner::global_scene_key() const {
   return make_global_key(build_system());
+}
+
+std::string ThermalAwareDesigner::thermal_key() const {
+  const soc::SccSystem system = build_system();
+  std::ostringstream os;
+  os << make_global_key(system) << "fine:";
+  const thermal::TwoLevelOptions options = two_level_options();
+  key_mesh(os, options.local_mesh);
+  key_number(os, options.window_margin);
+  key_number(os, spec_.oni_cell_xy);
+  key_number(os, spec_.oni_cell_z);
+  // Extents evaluate_oni cuts its refinement box from and summarize() its
+  // chip-average box from.
+  for (const double v : {system.z.beol_lo, system.z.optical_hi, system.z.heat_lo,
+                         system.z.heat_hi, spec_.package.die_x, spec_.package.die_y}) {
+    key_number(os, v);
+  }
+  return os.str();
 }
 
 CoarseGlobalSolve ThermalAwareDesigner::solve_global() const {
@@ -216,25 +238,27 @@ CoarseGlobalSolve ThermalAwareDesigner::solve_global() const {
   return CoarseGlobalSolve{std::move(system), std::move(key), std::move(field)};
 }
 
-OniThermalReport ThermalAwareDesigner::evaluate_oni_window(
-    const soc::SccSystem& system, const thermal::BoundarySet& bcs,
-    const thermal::TwoLevelOptions& options, const soc::OniInstance& oni,
-    const thermal::ThermalField& global_field) const {
+OniThermalReport ThermalAwareDesigner::evaluate_oni(const CoarseGlobalSolve& global,
+                                                    std::size_t slot) const {
+  const soc::SccSystem& system = global.system;
+  PH_REQUIRE(slot < system.onis.size(), "ONI slot out of range");
+  const soc::OniInstance& oni = system.onis[slot];
+
   // Fine window around this interface; refinement box = the footprint.
-  thermal::TwoLevelOptions local_options = options;
+  thermal::TwoLevelOptions options = two_level_options();
   mesh::RefinementBox refine;
   refine.box =
       Box3::make({oni.footprint.lo.x, oni.footprint.lo.y, system.z.beol_lo},
                  {oni.footprint.hi.x, oni.footprint.hi.y, system.z.optical_hi + 5e-6});
   refine.max_cell_xy = spec_.oni_cell_xy;
   refine.max_cell_z = spec_.oni_cell_z;
-  local_options.local_mesh.refinements.push_back(refine);
+  options.local_mesh.refinements.push_back(refine);
 
   const Box3 domain = system.scene.bounding_box();
   const Box3 window = Box3::make({oni.footprint.lo.x, oni.footprint.lo.y, domain.lo.z},
                                  {oni.footprint.hi.x, oni.footprint.hi.y, domain.hi.z});
-  const thermal::ThermalField local_field =
-      thermal::solve_local_window(system.scene, bcs, global_field, window, local_options);
+  const thermal::ThermalField local_field = thermal::solve_local_window(
+      system.scene, boundary_conditions(), global.field, window, options);
 
   const auto vcsels = system.scene.find(BlockKind::kVcsel, oni.index);
   const auto rings = system.scene.find(BlockKind::kMicroRing, oni.index);
@@ -249,39 +273,14 @@ OniThermalReport ThermalAwareDesigner::evaluate_oni_window(
   return r;
 }
 
-ThermalReport ThermalAwareDesigner::evaluate_thermal(std::optional<int> only_oni) const {
-  return evaluate_thermal(solve_global(), only_oni);
-}
-
-ThermalReport ThermalAwareDesigner::evaluate_thermal(const CoarseGlobalSolve& global,
-                                                     std::optional<int> only_oni) const {
+ThermalReport ThermalAwareDesigner::summarize(const CoarseGlobalSolve& global,
+                                              std::vector<OniThermalReport> onis) const {
   const soc::SccSystem& system = global.system;
-  const thermal::BoundarySet bcs = boundary_conditions();
-  const thermal::TwoLevelOptions options = two_level_options();
-
   ThermalReport report;
   const Box3 heat_box = Box3::make({0.0, 0.0, system.z.heat_lo},
                                    {spec_.package.die_x, spec_.package.die_y, system.z.heat_hi});
   report.chip_average = global.field.average_in(heat_box);
-
-  std::vector<const soc::OniInstance*> selected;
-  for (const soc::OniInstance& oni : system.onis) {
-    if (!only_oni || oni.index == *only_oni) {
-      selected.push_back(&oni);
-    }
-  }
-  PH_REQUIRE(!selected.empty(), "no ONI was evaluated (bad only_oni index?)");
-
-  // Each window is an independent local solve; results land at the ONI's
-  // slot in `selected` order, so values and order match the serial loop at
-  // every thread count. The windows share the enclosing budget with the
-  // solver kernels inside them (thread_pool.hpp).
-  report.onis.resize(selected.size());
-  util::parallel_for(selected.size(), 1, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t idx = begin; idx < end; ++idx) {
-      report.onis[idx] = evaluate_oni_window(system, bcs, options, *selected[idx], global.field);
-    }
-  });
+  report.onis = std::move(onis);
 
   std::vector<double> averages;
   report.max_gradient = 0.0;
@@ -292,6 +291,33 @@ ThermalReport ThermalAwareDesigner::evaluate_thermal(const CoarseGlobalSolve& gl
   report.oni_average = mean(averages);
   report.oni_spread = spread(averages);
   return report;
+}
+
+ThermalReport ThermalAwareDesigner::evaluate_thermal(std::optional<int> only_oni) const {
+  return evaluate_thermal(solve_global(), only_oni);
+}
+
+ThermalReport ThermalAwareDesigner::evaluate_thermal(const CoarseGlobalSolve& global,
+                                                     std::optional<int> only_oni) const {
+  std::vector<std::size_t> slots;
+  for (std::size_t slot = 0; slot < global.system.onis.size(); ++slot) {
+    if (!only_oni || global.system.onis[slot].index == *only_oni) {
+      slots.push_back(slot);
+    }
+  }
+  PH_REQUIRE(!slots.empty(), "no ONI was evaluated (bad only_oni index?)");
+
+  // Each window is an independent local solve; results land at their
+  // position in `slots`, so values and order match the serial loop at
+  // every thread count. The windows share the enclosing budget with the
+  // solver kernels inside them (thread_pool.hpp).
+  std::vector<OniThermalReport> onis(slots.size());
+  util::parallel_for(slots.size(), 1, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t idx = begin; idx < end; ++idx) {
+      onis[idx] = evaluate_oni(global, slots[idx]);
+    }
+  });
+  return summarize(global, std::move(onis));
 }
 
 SnrReport ThermalAwareDesigner::analyze_snr(const ThermalReport& thermal) const {
@@ -330,17 +356,17 @@ SnrReport ThermalAwareDesigner::analyze_snr(const ThermalReport& thermal) const 
   return report;
 }
 
-DesignReport ThermalAwareDesigner::run() const { return run(solve_global()); }
-
-DesignReport ThermalAwareDesigner::run(const CoarseGlobalSolve& global) const {
+DesignReport ThermalAwareDesigner::design_report(ThermalReport thermal) const {
   DesignReport report;
   report.spec = spec_;
-  report.thermal = evaluate_thermal(global);
+  report.thermal = std::move(thermal);
   if (spec_.placement == OniPlacementMode::kRing) {
     report.snr = analyze_snr(report.thermal);
   }
   return report;
 }
+
+DesignReport ThermalAwareDesigner::run() const { return design_report(evaluate_thermal()); }
 
 std::vector<HeaterSweepPoint> explore_heater_ratios(const OnocDesignSpec& base,
                                                     const std::vector<double>& ratios) {

@@ -65,7 +65,7 @@ struct DesignReport {
 /// scene key it was solved for. Immutable after construction and safe to
 /// share read-only across threads — the batch runner
 /// (scenario/batch_runner.hpp) caches one per distinct global scene and
-/// fans the per-ONI local-window solves of many scenarios out over it.
+/// fans the per-ONI local-window solves of its thermal problems out over it.
 struct CoarseGlobalSolve {
   soc::SccSystem system;
   std::string key;  ///< global_scene_key() of the producing spec
@@ -98,21 +98,31 @@ class ThermalAwareDesigner {
   /// conditions and global mesh options (every solve runs the default
   /// SteadyStateOptions, so solver settings are not part of it). Two specs
   /// with equal keys produce bit-identical global fields (and identical
-  /// systems), so the key is safe to use as a solve-cache key. Local-only
-  /// knobs (oni_cell_*, window_margin) and SNR knobs (fanout, waveguides,
-  /// wdm_channels, tech) deliberately do not enter the key.
+  /// systems), so the key is safe to use as a solve-cache key. The fine
+  /// windows read more than the coarse pass does; thermal_key() extends
+  /// this key with it. SNR knobs enter neither key.
   std::string global_scene_key() const;
+
+  /// Key of the whole thermal problem: global_scene_key() plus everything
+  /// the fine pass reads (oni_cell_xy, oni_cell_z, window_margin, the local
+  /// mesh options, and the die and layer extents the window and chip-average
+  /// queries are cut from). Two specs with equal keys produce bit-identical
+  /// ThermalReports, and equal thermal keys imply equal global scene keys.
+  /// SNR knobs (fanout, waveguides, wdm_channels, tech) deliberately do not
+  /// enter the key, so a batch solves each distinct thermal problem once.
+  std::string thermal_key() const;
 
   /// Run the coarse global pass: build the system and solve the
   /// package-scale steady state.
   CoarseGlobalSolve solve_global() const;
 
   /// Steady-state thermal evaluation: coarse global solve plus a fine
-  /// window per ONI. When `only_oni` is set, just that interface is
-  /// refined (cuts sweep cost; the paper's Fig. 9 tracks one interface).
-  /// The per-ONI local-window solves are independent and run on the shared
-  /// pool at the enclosing budget with index-ordered collection — results
-  /// are bit-identical for every thread count.
+  /// window per ONI (evaluate_oni), folded by summarize(). When `only_oni`
+  /// is set, just that interface is refined (cuts sweep cost; the paper's
+  /// Fig. 9 tracks one interface). The per-ONI local-window solves are
+  /// independent and run on the shared pool at the enclosing budget with
+  /// index-ordered collection — results are bit-identical for every thread
+  /// count.
   ThermalReport evaluate_thermal(std::optional<int> only_oni = std::nullopt) const;
 
   /// Same, reusing a coarse global solve produced by `solve_global()` of a
@@ -121,23 +131,32 @@ class ThermalAwareDesigner {
   ThermalReport evaluate_thermal(const CoarseGlobalSolve& global,
                                  std::optional<int> only_oni = std::nullopt) const;
 
+  /// Fine pass of one interface: solve the local window around
+  /// `global.system.onis[slot]` on the coarse field and extract its
+  /// temperatures. `global` as for evaluate_thermal. Windows are
+  /// independent, so a caller may run any set of them concurrently.
+  OniThermalReport evaluate_oni(const CoarseGlobalSolve& global, std::size_t slot) const;
+
+  /// Fold per-ONI window reports (in slot order) into the thermal report:
+  /// chip average from the coarse field, ONI mean/spread and the worst
+  /// gradient. evaluate_thermal and the batch runner both fold through it.
+  ThermalReport summarize(const CoarseGlobalSolve& global,
+                          std::vector<OniThermalReport> onis) const;
+
   /// SNR analysis from ONI temperatures (ring placement only).
   SnrReport analyze_snr(const ThermalReport& thermal) const;
 
-  /// Full pipeline.
-  DesignReport run() const;
+  /// Design report on a finished thermal evaluation: adds the SNR analysis
+  /// (ring placement only). `thermal` must come from a spec with an equal
+  /// thermal_key() (e.g. this one).
+  DesignReport design_report(ThermalReport thermal) const;
 
-  /// Full pipeline on a shared coarse global solve (see evaluate_thermal).
-  DesignReport run(const CoarseGlobalSolve& global) const;
+  /// Full pipeline: design_report(evaluate_thermal()).
+  DesignReport run() const;
 
  private:
   thermal::TwoLevelOptions two_level_options() const;
   std::string make_global_key(const soc::SccSystem& system) const;
-  OniThermalReport evaluate_oni_window(const soc::SccSystem& system,
-                                       const thermal::BoundarySet& bcs,
-                                       const thermal::TwoLevelOptions& options,
-                                       const soc::OniInstance& oni,
-                                       const thermal::ThermalField& global_field) const;
 
   OnocDesignSpec spec_;
 };

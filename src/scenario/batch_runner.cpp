@@ -1,8 +1,9 @@
 #include "scenario/batch_runner.hpp"
 
-#include <exception>
 #include <optional>
+#include <string>
 #include <unordered_map>
+#include <utility>
 
 #include "util/error.hpp"
 #include "util/log.hpp"
@@ -10,6 +11,37 @@
 #include "util/thread_pool.hpp"
 
 namespace photherm::scenario {
+
+namespace {
+
+/// Partition of `[0, n)` into groups: the group of every index, and the
+/// first index of every group in first-appearance order.
+struct Grouping {
+  std::vector<std::size_t> group_of;
+  std::vector<std::size_t> first;
+};
+
+/// Group indices by equal `key_of(i)`; with `share` off every index is its
+/// own group and no key is computed.
+template <typename KeyFn>
+Grouping group_by(std::size_t n, bool share, const KeyFn& key_of) {
+  Grouping grouping;
+  grouping.group_of.resize(n);
+  std::unordered_map<std::string, std::size_t> group_index;
+  for (std::size_t i = 0; i < n; ++i) {
+    std::size_t group = grouping.first.size();
+    if (share) {
+      group = group_index.try_emplace(key_of(i), group).first->second;
+    }
+    if (group == grouping.first.size()) {
+      grouping.first.push_back(i);
+    }
+    grouping.group_of[i] = group;
+  }
+  return grouping;
+}
+
+}  // namespace
 
 BatchRunner::BatchRunner(BatchOptions options) : options_(options) {}
 
@@ -27,84 +59,103 @@ BatchResult BatchRunner::run(const std::vector<ScenarioSpec>& scenarios) const {
       throw SpecError("scenario `" + s.name + "`: " + e.what());
     }
   }
-
-  BatchResult result;
-  result.stats.scenario_count = n;
-  result.reports.resize(n);
+  const auto context = [&scenarios](std::size_t i) {
+    return "scenario `" + scenarios[i].name + "`";
+  };
   telemetry::count("batch.scenarios", n);
 
-  if (!options_.share_global_solves) {
-    // Cold path: every scenario performs its own coarse solve. Reports land
-    // at their scenario's index, so order and values are thread-count
-    // independent.
-    util::parallel_for(
-        n, 1,
-        [&](std::size_t begin, std::size_t end) {
-          for (std::size_t i = begin; i < end; ++i) {
-            telemetry::Span span("batch.scenario", scenarios[i].name.c_str());
-            telemetry::ScopedTimer wall("batch.scenario.wall");
-            with_error_context("scenario `" + scenarios[i].name + "`",
-                               [&] { result.reports[i] = designers[i].run(); });
-          }
-        },
-        options_.threads);
-    result.stats.global_solves = n;
-    telemetry::count("batch.cache.misses", n);
-    return result;
-  }
+  // Group scenarios into thermal problems, and those into global scenes.
+  // Keys serialize everything the solves read, so equal keys guarantee the
+  // shared field and report are bit-identical to the ones a cold solve
+  // would produce; equal thermal keys imply equal global keys.
+  const bool share = options_.share_global_solves;
+  const Grouping problems =
+      group_by(n, share, [&](std::size_t i) { return designers[i].thermal_key(); });
+  const std::size_t problem_count = problems.first.size();
+  const Grouping scenes = group_by(problem_count, share, [&](std::size_t p) {
+    return designers[problems.first[p]].global_scene_key();
+  });
+  const std::size_t scene_count = scenes.first.size();
+  PH_LOG_DEBUG << "scenario batch: " << n << " scenarios over " << problem_count
+               << " distinct thermal problems and " << scene_count << " global scenes";
 
-  // Group scenarios by global scene key. Keys serialize the full scene (and
-  // everything else the coarse solve reads), so equal keys guarantee the
-  // shared field is bit-identical to the one a cold solve would produce.
-  std::vector<std::size_t> group_of(n);
-  std::vector<std::size_t> representative;  // first scenario index per group
-  {
-    std::unordered_map<std::string, std::size_t> group_index;
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto [it, fresh] =
-          group_index.try_emplace(designers[i].global_scene_key(), representative.size());
-      if (fresh) {
-        representative.push_back(i);
-      }
-      group_of[i] = it->second;
-    }
-  }
-  PH_LOG_DEBUG << "scenario batch: " << n << " scenarios over " << representative.size()
-               << " distinct global scenes";
-
-  // Coarse pass: one global solve per distinct scene, in parallel.
-  std::vector<std::optional<core::CoarseGlobalSolve>> globals(representative.size());
+  // Stage 1, coarse pass: one global solve per distinct scene.
+  std::vector<std::optional<core::CoarseGlobalSolve>> globals(scene_count);
   util::parallel_for(
-      representative.size(), 1,
+      scene_count, 1,
       [&](std::size_t begin, std::size_t end) {
         for (std::size_t g = begin; g < end; ++g) {
-          telemetry::Span span("batch.global_solve",
-                               scenarios[representative[g]].name.c_str());
-          with_error_context("scenario `" + scenarios[representative[g]].name + "`",
-                             [&] { globals[g] = designers[representative[g]].solve_global(); });
+          const std::size_t i = problems.first[scenes.first[g]];
+          telemetry::Span span("batch.global_solve", scenarios[i].name.c_str());
+          with_error_context(context(i), [&] { globals[g] = designers[i].solve_global(); });
+        }
+      },
+      options_.threads);
+  const auto global_of = [&](std::size_t p) -> const core::CoarseGlobalSolve& {
+    return *globals[scenes.group_of[p]];
+  };
+
+  // Stage 2, fine pass: every ONI window of every distinct thermal problem
+  // is one task of a single flat region, so the pool stays busy across
+  // problem boundaries. Windows land at their (problem, slot) position.
+  std::vector<std::vector<core::OniThermalReport>> onis(problem_count);
+  std::vector<std::pair<std::size_t, std::size_t>> windows;  // (problem, slot)
+  for (std::size_t p = 0; p < problem_count; ++p) {
+    const std::size_t slots = global_of(p).system.onis.size();
+    onis[p].resize(slots);
+    for (std::size_t slot = 0; slot < slots; ++slot) {
+      windows.emplace_back(p, slot);
+    }
+  }
+  util::parallel_for(
+      windows.size(), 1,
+      [&](std::size_t begin, std::size_t end) {
+        for (std::size_t w = begin; w < end; ++w) {
+          const std::size_t p = windows[w].first;
+          const std::size_t slot = windows[w].second;
+          const core::CoarseGlobalSolve& global = global_of(p);
+          const std::size_t i = problems.first[p];
+          telemetry::Span span("batch.window", scenarios[i].name + " oni" +
+                                                   std::to_string(global.system.onis[slot].index));
+          with_error_context(context(i), [&] {
+            onis[p][slot] = designers[i].evaluate_oni(global, slot);
+          });
         }
       },
       options_.threads);
 
-  // Fine pass: every scenario refines its ONI windows on its group's
-  // shared coarse field (read-only, safe to share across workers).
+  // Stage 3: one ThermalReport per thermal problem.
+  std::vector<core::ThermalReport> thermal(problem_count);
+  for (std::size_t p = 0; p < problem_count; ++p) {
+    const std::size_t i = problems.first[p];
+    with_error_context(context(i), [&] {
+      thermal[p] = designers[i].summarize(global_of(p), std::move(onis[p]));
+    });
+  }
+
+  // Stage 4: per scenario, only the SNR analysis and the verdicts remain.
+  BatchResult result;
+  result.reports.resize(n);
   util::parallel_for(
       n, 1,
       [&](std::size_t begin, std::size_t end) {
         for (std::size_t i = begin; i < end; ++i) {
           telemetry::Span span("batch.scenario", scenarios[i].name.c_str());
           telemetry::ScopedTimer wall("batch.scenario.wall");
-          with_error_context(
-              "scenario `" + scenarios[i].name + "`",
-              [&] { result.reports[i] = designers[i].run(*globals[group_of[i]]); });
+          with_error_context(context(i), [&] {
+            result.reports[i] = designers[i].design_report(thermal[problems.group_of[i]]);
+          });
         }
       },
       options_.threads);
 
-  result.stats.global_solves = representative.size();
-  result.stats.cache_hits = n - representative.size();
-  telemetry::count("batch.cache.misses", representative.size());
+  result.stats.scenario_count = n;
+  result.stats.global_solves = scene_count;
+  result.stats.cache_hits = n - scene_count;
+  result.stats.thermal_solves = problem_count;
+  telemetry::count("batch.cache.misses", scene_count);
   telemetry::count("batch.cache.hits", result.stats.cache_hits);
+  telemetry::count("batch.cache.thermal_solves", problem_count);
   return result;
 }
 

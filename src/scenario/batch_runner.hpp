@@ -1,12 +1,16 @@
 /// \file batch_runner.hpp
-/// \brief Cached batch execution of scenario lists. Scenarios are
-/// independent design-point evaluations, so they dispatch onto the shared
-/// thread pool (util/thread_pool.hpp) and are collected in index order —
-/// results are bit-identical for every thread count. A keyed cache shares
-/// the coarse global ThermalField across scenarios whose global scene is
-/// identical (core::ThermalAwareDesigner::global_scene_key), e.g. scenarios
-/// that differ only in SNR knobs or local window resolution; cache hits are
-/// bit-identical to cold solves because the solver itself is deterministic.
+/// \brief Cached batch execution of scenario lists. A batch runs in stages
+/// on the shared thread pool (util/thread_pool.hpp): one coarse global
+/// solve per distinct global scene (core::ThermalAwareDesigner::
+/// global_scene_key), then every ONI window of every distinct thermal
+/// problem (core::ThermalAwareDesigner::thermal_key) as one flat list of
+/// tasks, one ThermalReport per thermal problem, and finally the per-scenario
+/// SNR analysis. Scenarios that differ only in SNR knobs (WDM channels,
+/// fanout, waveguides, technology) share the whole thermal report; ones
+/// that differ only in the fine-window knobs still share the coarse field.
+/// Every result lands at its index, so reports are bit-identical for every
+/// thread count, and shared results are bit-identical to cold solves
+/// because the solver itself is deterministic.
 #pragma once
 
 #include <vector>
@@ -21,9 +25,11 @@ struct BatchOptions {
   /// (scenarios, their ONI windows, the solver kernels), which inherit it
   /// (util/thread_pool.hpp). 0 = util::concurrency(); 1 = one core.
   std::size_t threads = 0;
-  /// Coarse-solve cache: share the global ThermalField across scenarios
-  /// with equal scene keys. Off solves every scenario cold; the reports are
-  /// bit-identical either way.
+  /// Solve cache: share the coarse global ThermalField across scenarios
+  /// with equal global scene keys and the whole ThermalReport across
+  /// scenarios with equal thermal keys. Off makes every scenario its own
+  /// group, so each solves its coarse field and windows cold (the built-in
+  /// oracle of the cache); the reports are bit-identical either way.
   bool share_global_solves = true;
 };
 
@@ -31,6 +37,9 @@ struct BatchStats {
   std::size_t scenario_count = 0;
   std::size_t global_solves = 0;  ///< coarse global solves actually performed
   std::size_t cache_hits = 0;     ///< scenarios served from a shared coarse field
+  /// Distinct thermal problems solved (one ThermalReport each: a coarse
+  /// field plus a fine window per ONI).
+  std::size_t thermal_solves = 0;
 };
 
 struct BatchResult {

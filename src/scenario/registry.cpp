@@ -174,7 +174,7 @@ const std::vector<Family>& families() {
       {"duty_ramp", "activity duty-cycle schedules; default ladder 0.25/0.5/0.75/1.0",
        expand_duty_ramp},
       {"wdm_ladder", "WDM channel counts (thermally identical, so the batch runner shares "
-                     "one coarse solve); default ladder 4/8/16",
+                     "one thermal solve); default ladder 4/8/16",
        expand_wdm_ladder},
       {"transient_step", "power-step settle studies for the timeline engine (constant "
                          "schedule at each scale); default ladder 0.25/0.5/1",

@@ -45,8 +45,8 @@ std::vector<std::string> builtin_suite_names();
 /// - "smoke":   4 traffic-pattern scenarios at smoke-test resolution.
 /// - "corners": 10 scenarios — traffic patterns, ambient corners
 ///   (-40/25/85 degC) and a WDM-channel ladder; the ladder scenarios share
-///   one global thermal scene, so the batch runner's coarse-solve cache
-///   gets hits on this suite.
+///   one thermal problem with traffic_uniform, so the batch runner's solve
+///   cache shares their coarse field and thermal report.
 /// - "transient": 4 schedule-driven scenarios (power steps and traffic
 ///   bursts) for the timeline engine's playback (`photherm_cli play`).
 std::vector<ScenarioSpec> builtin_suite(const std::string& name);

@@ -174,6 +174,7 @@ const std::vector<std::pair<std::string, std::string>>& catalog() {
   static const std::vector<std::pair<std::string, std::string>> entries = {
       {"batch.cache.hits", "counter"},
       {"batch.cache.misses", "counter"},
+      {"batch.cache.thermal_solves", "counter"},
       {"batch.scenario.wall", "timer"},
       {"batch.scenarios", "counter"},
       {"checkpoint.pauses", "counter"},

@@ -112,6 +112,8 @@ require_match(${WORK_DIR}/batch_metrics.csv
               "batch\\.scenario\\.wall,timer,[1-9][0-9]*" "batch wall-time observations")
 require_match(${WORK_DIR}/batch_trace.json
               "\"ph\":\"X\",\"name\":\"batch\\.scenario\"" "batch scenario spans")
+require_match(${WORK_DIR}/batch_trace.json
+              "\"ph\":\"X\",\"name\":\"batch\\.window\"" "batch ONI-window spans")
 
 # Truthful thread count: under PHOTHERM_THREADS=4, `--threads 1` is the
 # budget of every nested region (scenarios, ONI windows, solver kernels), so

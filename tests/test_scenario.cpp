@@ -1,7 +1,7 @@
 /// Scenario subsystem: spec parse/serialize round-trip, registry family
-/// expansion, batch-runner determinism across thread counts and the
-/// coarse-solve cache equivalence guarantee (cached fields bit-identical to
-/// cold solves).
+/// expansion, batch-runner determinism across thread counts and the solve
+/// cache equivalence guarantee (shared coarse fields and thermal reports
+/// bit-identical to cold solves).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,6 +13,7 @@
 #include "scenario/scenario.hpp"
 #include "support/fixtures.hpp"
 #include "util/error.hpp"
+#include "util/telemetry.hpp"
 
 namespace photherm {
 namespace {
@@ -238,7 +239,14 @@ TEST(ScenarioBatch, ReportsAreBitIdenticalAcrossThreadCounts) {
 }
 
 TEST(ScenarioBatch, CoarseSolveCacheIsBitIdenticalToColdSolves) {
-  const auto suite = fast_suite();
+  // Three WDM scenarios share one thermal problem; `fine` differs from
+  // their base only in the window resolution, so it shares their coarse
+  // field but not their report; the hotspot one is its own scene.
+  auto suite = fast_suite();
+  ScenarioSpec fine = fast_scenario("fine");
+  fine.design.oni_cell_xy = 50e-6;
+  suite.push_back(std::move(fine));
+
   BatchOptions cold_options;
   cold_options.threads = 2;
   cold_options.share_global_solves = false;
@@ -247,11 +255,12 @@ TEST(ScenarioBatch, CoarseSolveCacheIsBitIdenticalToColdSolves) {
   const BatchResult cold = BatchRunner(cold_options).run(suite);
   const BatchResult cached = BatchRunner(cached_options).run(suite);
 
-  // Three WDM scenarios share one global scene; the hotspot one is its own.
   EXPECT_EQ(cold.stats.global_solves, suite.size());
   EXPECT_EQ(cold.stats.cache_hits, 0u);
+  EXPECT_EQ(cold.stats.thermal_solves, suite.size());
   EXPECT_EQ(cached.stats.global_solves, 2u);
   EXPECT_EQ(cached.stats.cache_hits, suite.size() - 2u);
+  EXPECT_EQ(cached.stats.thermal_solves, 3u);
 
   EXPECT_EQ(scenario::batch_table(suite, cold).to_csv(),
             scenario::batch_table(suite, cached).to_csv());
@@ -261,48 +270,114 @@ TEST(ScenarioBatch, SceneKeySeparatesThermalKnobsFromSnrKnobs) {
   const ScenarioSpec base = fast_scenario("base");
   const core::ThermalAwareDesigner designer(base.design);
   const std::string key = designer.global_scene_key();
+  const std::string thermal = designer.thermal_key();
+  const auto global_key_of = [](const ScenarioSpec& s) {
+    return core::ThermalAwareDesigner(s.design).global_scene_key();
+  };
+  const auto thermal_key_of = [](const ScenarioSpec& s) {
+    return core::ThermalAwareDesigner(s.design).thermal_key();
+  };
 
-  // SNR/local-resolution knobs do not touch the global scene.
+  // SNR knobs touch neither key.
   ScenarioSpec snr = base;
   snr.design.wdm_channels = 16;
   snr.design.fanout = 2;
-  snr.design.oni_cell_xy = 20e-6;
-  EXPECT_EQ(core::ThermalAwareDesigner(snr.design).global_scene_key(), key);
+  snr.design.waveguides = base.design.waveguides + 1;
+  snr.design.tech.pd_sensitivity_dbm = base.design.tech.pd_sensitivity_dbm + 3.0;
+  snr.design.tech.propagation_loss_db_cm = base.design.tech.propagation_loss_db_cm * 2.0;
+  EXPECT_EQ(global_key_of(snr), key);
+  EXPECT_EQ(thermal_key_of(snr), thermal);
 
-  // Thermal knobs do.
+  // Fine-window knobs leave the global scene alone but change the thermal
+  // problem.
+  ScenarioSpec cell_xy = base;
+  cell_xy.design.oni_cell_xy = 20e-6;
+  ScenarioSpec cell_z = base;
+  cell_z.design.oni_cell_z = base.design.oni_cell_z * 2.0;
+  ScenarioSpec margin = base;
+  margin.design.window_margin = base.design.window_margin * 2.0;
+  for (const ScenarioSpec* local : {&cell_xy, &cell_z, &margin}) {
+    EXPECT_EQ(global_key_of(*local), key);
+    EXPECT_NE(thermal_key_of(*local), thermal);
+  }
+
+  // Thermal knobs change both.
   ScenarioSpec hot = base;
   hot.design.package.t_ambient = 85.0;
-  EXPECT_NE(core::ThermalAwareDesigner(hot.design).global_scene_key(), key);
   ScenarioSpec heater = base;
   heater.design.heater_ratio = 0.6;
-  EXPECT_NE(core::ThermalAwareDesigner(heater.design).global_scene_key(), key);
+  ScenarioSpec coarse = base;
+  coarse.design.global_cell_xy = base.design.global_cell_xy * 2.0;
+  for (const ScenarioSpec* scene : {&hot, &heater, &coarse}) {
+    EXPECT_NE(global_key_of(*scene), key);
+    EXPECT_NE(thermal_key_of(*scene), thermal);
+  }
 }
 
 TEST(ScenarioBatch, WorkerFailuresSurfaceAsErrorsNamingTheScenario) {
-  // The poisoned design passes validate() — every knob is positive and
-  // finite — but explodes the coarse mesh past its cell budget when the
-  // worker runs the designer. The failure must surface as a catchable
-  // Error naming the scenario on the calling thread, not terminate the
-  // process; both the cached coarse pass and the cold path are covered.
-  auto suite = fast_suite();
+  // Each poisoned design passes validate() — every knob is positive and
+  // finite — but explodes a mesh past its cell budget when a worker runs
+  // it: `poisoned` in the coarse pass, `poisoned_window` only in its ONI
+  // windows, which run as tasks of the flat window region. The failure must
+  // surface as a catchable Error naming the scenario on the calling thread,
+  // not terminate the process, with the cache on and off.
   ScenarioSpec poisoned = fast_scenario("poisoned");
   poisoned.design.global_cell_xy = 1e-6;
   poisoned.design.oni_cell_xy = 1e-6;
-  poisoned.design.validate();  // the poison is invisible to validation
-  suite.push_back(std::move(poisoned));
+  ScenarioSpec poisoned_window = fast_scenario("poisoned_window");
+  poisoned_window.design.oni_cell_xy = 1e-8;
 
-  for (bool share : {true, false}) {
-    BatchOptions options;
-    options.threads = 4;
-    options.share_global_solves = share;
-    try {
-      BatchRunner(options).run(suite);
-      FAIL() << "poisoned scenario must throw (share_global_solves = " << share << ")";
-    } catch (const Error& e) {
-      EXPECT_NE(std::string(e.what()).find("poisoned"), std::string::npos) << e.what();
-      EXPECT_NE(std::string(e.what()).find("cell budget"), std::string::npos) << e.what();
+  for (const ScenarioSpec& poison : {poisoned, poisoned_window}) {
+    poison.design.validate();  // the poison is invisible to validation
+    auto suite = fast_suite();
+    suite.push_back(poison);
+    for (bool share : {true, false}) {
+      BatchOptions options;
+      options.threads = 4;
+      options.share_global_solves = share;
+      try {
+        BatchRunner(options).run(suite);
+        FAIL() << poison.name << " must throw (share_global_solves = " << share << ")";
+      } catch (const Error& e) {
+        EXPECT_NE(std::string(e.what()).find("scenario `" + poison.name + "`"), std::string::npos)
+            << e.what();
+        EXPECT_NE(std::string(e.what()).find("cell budget"), std::string::npos) << e.what();
+      }
     }
   }
+}
+
+TEST(ScenarioBatch, SolveCountersMatchTheBatchStatsAtEveryWidth) {
+  // Every distinct global scene costs one CG solve and every distinct
+  // thermal problem one more per ONI window; the count must not depend on
+  // how many executors ran them.
+  const auto suite = fast_suite();
+  const auto cg_solves_at = [&suite](std::size_t threads, BatchResult& result) {
+    telemetry::reset();
+    telemetry::set_enabled(true);
+    BatchOptions options;
+    options.threads = threads;
+    result = BatchRunner(options).run(suite);
+    telemetry::set_enabled(false);
+    const std::string csv = telemetry::metrics_table().to_csv();
+    telemetry::reset();
+    const std::string row = "\nsolver.conjugate_gradient.solves,counter,";
+    const std::size_t at = csv.find(row);
+    EXPECT_NE(at, std::string::npos) << csv;
+    const std::size_t total = csv.find(',', at + row.size()) + 1;
+    return std::stoull(csv.substr(total, csv.find(',', total) - total));
+  };
+  BatchResult serial;
+  BatchResult threaded;
+  const std::size_t serial_solves = cg_solves_at(1, serial);
+  const std::size_t threaded_solves = cg_solves_at(4, threaded);
+
+  const std::size_t onis = serial.reports.front().thermal.onis.size();
+  ASSERT_EQ(onis, 4u);
+  EXPECT_EQ(serial.stats.global_solves, 2u);
+  EXPECT_EQ(serial.stats.thermal_solves, 2u);
+  EXPECT_EQ(serial_solves, serial.stats.global_solves + onis * serial.stats.thermal_solves);
+  EXPECT_EQ(threaded_solves, serial_solves);
 }
 
 TEST(ScenarioBatch, InvalidScenarioNamesTheScenarioInTheError) {

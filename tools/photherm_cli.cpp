@@ -8,8 +8,9 @@
 ///   photherm_cli run <suite> [--threads N] [--no-cache] [-o FILE]
 ///                    [--trace FILE] [--metrics FILE]
 ///       Run the batch and emit one CSV row per scenario. Output is
-///       bit-identical across thread counts and with the coarse-solve cache
-///       on or off; cache statistics go to stderr.
+///       bit-identical across thread counts and with the solve cache on or
+///       off (--no-cache turns off sharing of both coarse fields and
+///       thermal reports); cache statistics go to stderr.
 ///   photherm_cli play <suite> [--dt SEC] [--periods N] [--tol DEGC]
 ///                     [--until-settle] [--adaptive] [--precond ilu0|chebyshev]
 ///                     [--summary] [--threads N] [-o FILE]
@@ -243,7 +244,8 @@ int cmd_run(const std::vector<std::string>& args) {
   telemetry_args.write_reports();
   PH_LOG_INFO << "event=batch_run scenarios=" << result.stats.scenario_count
               << " global_solves=" << result.stats.global_solves
-              << " cache_hits=" << result.stats.cache_hits;
+              << " cache_hits=" << result.stats.cache_hits
+              << " thermal_solves=" << result.stats.thermal_solves;
   return 0;
 }
 
