@@ -85,15 +85,6 @@ inline void scale(double alpha, Vector& x) {
   }
 }
 
-inline Vector subtract(const Vector& a, const Vector& b) {
-  PH_REQUIRE(a.size() == b.size(), "subtract: size mismatch");
-  Vector out(a.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    out[i] = a[i] - b[i];
-  }
-  return out;
-}
-
 inline double max_abs(const Vector& a) {
   double m = 0.0;
   for (double v : a) {

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "util/error.hpp"
-#include "util/interp.hpp"
 
 namespace photherm::mesh {
 
@@ -72,7 +71,16 @@ AxisGrid::AxisGrid(std::vector<double> ticks) : ticks_(std::move(ticks)) {
 }
 
 std::size_t AxisGrid::find_cell(double x) const {
-  return find_segment(ticks_, x);
+  // Cell i holds ticks[i] <= x < ticks[i+1]; x outside the domain clamps to
+  // the first or last cell, and x == hi() belongs to the last.
+  if (x <= ticks_.front()) {
+    return 0;
+  }
+  if (x >= ticks_[ticks_.size() - 2]) {
+    return ticks_.size() - 2;
+  }
+  const auto it = std::upper_bound(ticks_.begin(), ticks_.end(), x);
+  return static_cast<std::size_t>(std::distance(ticks_.begin(), it)) - 1;
 }
 
 std::pair<std::size_t, std::size_t> AxisGrid::cell_range(double lo, double hi) const {

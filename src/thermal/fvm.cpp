@@ -1,6 +1,5 @@
 #include "thermal/fvm.hpp"
 
-#include <cmath>
 #include <cstdint>
 #include <limits>
 
@@ -137,13 +136,10 @@ bool has_fixing_bc(const BoundarySet& bcs) {
 
 }  // namespace
 
-DiscreteSystem assemble(const RectilinearMesh& m, const BoundarySet& bcs,
-                        const math::Vector* cell_conductivity) {
+DiscreteSystem assemble(const RectilinearMesh& m, const BoundarySet& bcs) {
   telemetry::Span span("fvm.assemble");
   PH_REQUIRE(has_fixing_bc(bcs),
              "all-adiabatic boundary set: the steady-state problem is singular");
-  PH_REQUIRE(cell_conductivity == nullptr || cell_conductivity->size() == m.cell_count(),
-             "conductivity override must have one entry per cell");
 
   const std::size_t n = m.cell_count();
   const std::size_t nx = m.nx();
@@ -164,10 +160,7 @@ DiscreteSystem assemble(const RectilinearMesh& m, const BoundarySet& bcs,
   math::Vector rhs(n, 0.0);
   math::Vector capacitance(n, 0.0);
 
-  auto conductivity = [&](std::size_t cell) {
-    return cell_conductivity != nullptr ? (*cell_conductivity)[cell]
-                                        : lib.get(m.material(cell)).conductivity;
-  };
+  auto conductivity = [&](std::size_t cell) { return lib.get(m.material(cell)).conductivity; };
 
   // Conductance of each cell's face to its lower neighbour, written by that
   // neighbour when it computed the face toward +axis: the previous cell
@@ -259,24 +252,12 @@ DiscreteSystem assemble(const RectilinearMesh& m, const BoundarySet& bcs,
       std::move(rhs), std::move(capacitance)};
 }
 
-namespace {
-
-/// Assemble and solve; the warm-start contract of conjugate_gradient
-/// applies to `t` unchanged.
-math::SolverResult steady_solve(const RectilinearMesh& m, const BoundarySet& bcs,
-                                const math::Vector* cell_conductivity,
-                                const SteadyStateOptions& options, math::Vector& t) {
-  const DiscreteSystem system = assemble(m, bcs, cell_conductivity);
-  return math::conjugate_gradient(system.matrix, system.rhs, t, options.solver);
-}
-
-}  // namespace
-
 ThermalField solve_steady_state(std::shared_ptr<const RectilinearMesh> mesh,
                                 const BoundarySet& bcs, const SteadyStateOptions& options) {
   PH_REQUIRE(mesh != nullptr, "solve_steady_state: null mesh");
   math::Vector t(mesh->cell_count(), 0.0);
-  const auto result = steady_solve(*mesh, bcs, nullptr, options, t);
+  const DiscreteSystem system = assemble(*mesh, bcs);
+  const auto result = math::conjugate_gradient(system.matrix, system.rhs, t, options.solver);
   PH_LOG_DEBUG << "steady-state solve: " << math::to_string(result);
   return ThermalField(std::move(mesh), std::move(t));
 }
@@ -285,47 +266,6 @@ ThermalField solve_steady_state(RectilinearMesh mesh, const BoundarySet& bcs,
                                 const SteadyStateOptions& options) {
   return solve_steady_state(std::make_shared<const RectilinearMesh>(std::move(mesh)), bcs,
                             options);
-}
-
-ThermalField solve_steady_state_nonlinear(std::shared_ptr<const RectilinearMesh> mesh,
-                                          const BoundarySet& bcs,
-                                          const NonlinearOptions& options) {
-  PH_REQUIRE(mesh != nullptr, "solve_steady_state_nonlinear: null mesh");
-  const RectilinearMesh& m = *mesh;
-  const auto& lib = m.materials_library();
-
-  bool any_nonlinear = false;
-  for (std::size_t cell = 0; cell < m.cell_count(); ++cell) {
-    if (lib.get(m.material(cell)).conductivity_exponent != 0.0) {
-      any_nonlinear = true;
-      break;
-    }
-  }
-  if (!any_nonlinear) {
-    return solve_steady_state(std::move(mesh), bcs, options.linear);
-  }
-
-  // Picard iteration: k is evaluated at the previous temperature field.
-  ThermalField field = solve_steady_state(mesh, bcs, options.linear);
-  for (std::size_t iter = 0; iter < options.max_picard_iterations; ++iter) {
-    math::Vector k(m.cell_count());
-    const auto& t = field.temperatures();
-    for (std::size_t cell = 0; cell < m.cell_count(); ++cell) {
-      k[cell] = lib.get(m.material(cell)).conductivity_at(t[cell]);
-    }
-    math::Vector next = t;  // warm start
-    steady_solve(m, bcs, &k, options.linear, next);
-    double max_change = 0.0;
-    for (std::size_t cell = 0; cell < m.cell_count(); ++cell) {
-      max_change = std::max(max_change, std::abs(next[cell] - t[cell]));
-    }
-    field = ThermalField(mesh, std::move(next));
-    PH_LOG_DEBUG << "Picard iteration " << iter << ": max dT = " << max_change;
-    if (max_change <= options.temperature_tolerance) {
-      return field;
-    }
-  }
-  throw SolverError("nonlinear steady state did not converge within the Picard budget");
 }
 
 double boundary_heat_flow(const ThermalField& field, const BoundarySet& bcs) {

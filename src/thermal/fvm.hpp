@@ -27,8 +27,6 @@ struct DiscreteSystem {
 /// Face conductance between two cells is the series combination of the
 /// half-cell resistances: G = A / (d1/(2 k1) + d2/(2 k2)), evaluated once
 /// per face with the lower cell as (d1, k1), so A is exactly symmetric.
-/// `cell_conductivity` (optional) overrides the material conductivity per
-/// cell — used by the nonlinear solver for temperature-dependent k(T).
 ///
 /// The CSR rows are written directly in one pass. Row `i` holds, in column
 /// order and skipping neighbours outside the mesh, the z-, y-, x- entries,
@@ -37,8 +35,7 @@ struct DiscreteSystem {
 /// then the boundary conductances in face order (x-, x+, y-, y+, z-, z+).
 /// The RHS is the cell's power plus g * T_wall per boundary face, in the
 /// same face order.
-DiscreteSystem assemble(const mesh::RectilinearMesh& mesh, const BoundarySet& bcs,
-                        const math::Vector* cell_conductivity = nullptr);
+DiscreteSystem assemble(const mesh::RectilinearMesh& mesh, const BoundarySet& bcs);
 
 /// Kept only because perfbench/ asserts it; it goes with the next benchmark change.
 enum class OperatorKind { kCsr };
@@ -48,11 +45,11 @@ struct SteadyStateOptions {
   OperatorKind operator_kind = OperatorKind::kCsr;
   SteadyStateOptions() {
     solver.rel_tolerance = 1e-10;
-    // CG tracks a recursive residual; after many iterations (and across the
-    // warm-started Picard / two-level restarts) the true ||b - A x|| can sit
-    // slightly above the iteration's exit criterion. Accept up to 10x the
-    // (already very tight) tolerance explicitly rather than failing solves
-    // whose fields are converged far beyond the physics' needs.
+    // CG tracks a recursive residual; after many iterations (and across
+    // warm-started restarts) the true ||b - A x|| can sit slightly above the
+    // iteration's exit criterion. Accept up to 10x the (already very tight)
+    // tolerance explicitly rather than failing solves whose fields are
+    // converged far beyond the physics' needs.
     solver.convergence_slack = 10.0;
   }
 };
@@ -71,20 +68,5 @@ ThermalField solve_steady_state(mesh::RectilinearMesh mesh, const BoundarySet& b
 /// [W]. At steady state this equals the injected power (energy balance);
 /// the validation tests assert it.
 double boundary_heat_flow(const ThermalField& field, const BoundarySet& bcs);
-
-struct NonlinearOptions {
-  SteadyStateOptions linear;
-  std::size_t max_picard_iterations = 30;
-  double temperature_tolerance = 1e-4;  ///< max |dT| between iterations [degC]
-};
-
-/// Steady state with temperature-dependent conductivities (materials with
-/// a non-zero `conductivity_exponent`, e.g. silicon ~T^-1.3): Picard
-/// iteration — evaluate k at the current field, reassemble, resolve, until
-/// the field stops moving. Falls back to a single linear solve when every
-/// material is temperature-independent.
-ThermalField solve_steady_state_nonlinear(std::shared_ptr<const mesh::RectilinearMesh> mesh,
-                                          const BoundarySet& bcs,
-                                          const NonlinearOptions& options = {});
 
 }  // namespace photherm::thermal

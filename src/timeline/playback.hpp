@@ -20,11 +20,11 @@
 ///
 ///  - **Adaptive time stepping** (PlaybackOptions::adaptive): when the
 ///    field is crawling — the per-step state change has fallen below a
-///    threshold — the step size grows geometrically, re-assembling the
-///    stepping matrix only on each change and re-quantizing the remaining
-///    schedule on the new grid (bounded by max_period_error; a
-///    constant-scale schedule is free to grow without a period
-///    constraint). Backward Euler is L-stable, so the settled field is
+///    threshold — the step size doubles, up to 64x the base step,
+///    re-assembling the stepping matrix only on each change and
+///    re-quantizing the remaining schedule on the new grid (bounded by
+///    max_period_error; a constant-scale schedule is free to grow without a
+///    period constraint). Backward Euler is L-stable, so the settled field is
 ///    independent of the step size — growth trades time resolution while
 ///    crawling for orders of magnitude fewer linear solves.
 ///  - **Periodic-steady-state detection**: for genuinely oscillating
@@ -52,6 +52,10 @@
 #include "timeline/timeline.hpp"
 
 namespace photherm::timeline {
+
+/// Consecutive periods the cycle-over-cycle delta must stay below
+/// PlaybackOptions::settle_tolerance before periodic steady state latches.
+inline constexpr std::size_t kPeriodicHoldPeriods = 2;
 
 struct PlaybackOptions {
   double time_step = 0.05;  ///< [s]
@@ -87,21 +91,6 @@ struct PlaybackOptions {
   /// whenever one step covers less than half the remaining distance to
   /// the steady reference, which keeps the approach geometric.
   double adaptive_threshold = 0.0;
-  /// Step multiplier per growth (> 1); growth is attempted at period
-  /// boundaries only, so the matrix reassembly cost stays O(log) in the
-  /// total growth factor.
-  double adaptive_growth = 2.0;
-  /// Largest step the adaptive scheme may reach [s]; 0 picks
-  /// 64 * time_step.
-  double max_time_step = 0.0;
-
-  /// Track the cycle-over-cycle delta and report periodic steady state for
-  /// oscillating schedules. Detection never changes the trace values; with
-  /// stop_on_settle it additionally ends the playback.
-  bool detect_periodic_steady = true;
-  /// Consecutive periods the cycle-over-cycle delta must stay below
-  /// settle_tolerance before periodic steady state latches.
-  std::size_t periodic_hold_periods = 2;
 
   /// Relative period-error bound handed to compile_timeline, and the bound
   /// adaptive growth must respect when re-quantizing a multi-scale
@@ -135,7 +124,7 @@ struct TimelineTrace {
   double final_delta = 0.0;       ///< max |T - T_steady| at the last step
 
   /// Periodic-steady detection (oscillating schedules): the field repeats
-  /// cycle over cycle within settle_tolerance for periodic_hold_periods.
+  /// cycle over cycle within settle_tolerance for kPeriodicHoldPeriods.
   bool periodic_steady = false;
   double periodic_steady_time = -1.0;  ///< [s]; start of the first held period
   std::size_t periodic_steady_step = 0;

@@ -68,9 +68,24 @@ TEST(AxisGrid, CellGeometry) {
 TEST(AxisGrid, FindCell) {
   const AxisGrid g({0.0, 1.0, 2.0, 4.0});
   EXPECT_EQ(g.find_cell(-1.0), 0u);
+  EXPECT_EQ(g.find_cell(0.0), 0u);
   EXPECT_EQ(g.find_cell(0.5), 0u);
   EXPECT_EQ(g.find_cell(1.0), 1u);
+  EXPECT_EQ(g.find_cell(1.999), 1u);
   EXPECT_EQ(g.find_cell(3.9), 2u);
+  EXPECT_EQ(g.find_cell(4.0), 2u);
+  EXPECT_EQ(g.find_cell(99.0), 2u);
+}
+
+TEST(FindSegment, BoundariesAndInterior) {
+  const AxisGrid g({0.0, 1.0, 2.0, 5.0});
+  EXPECT_EQ(g.find_cell(-1.0), 0u);
+  EXPECT_EQ(g.find_cell(0.0), 0u);
+  EXPECT_EQ(g.find_cell(0.5), 0u);
+  EXPECT_EQ(g.find_cell(1.0), 1u);
+  EXPECT_EQ(g.find_cell(1.999), 1u);
+  EXPECT_EQ(g.find_cell(4.0), 2u);
+  EXPECT_EQ(g.find_cell(5.0), 2u);
   EXPECT_EQ(g.find_cell(99.0), 2u);
 }
 

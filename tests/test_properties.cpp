@@ -98,6 +98,31 @@ TEST_P(ThermalProperties, LinearityInPower) {
   EXPECT_NEAR(twice.global_max() - 30.0, 2.0 * (base.global_max() - 30.0), 1e-6);
 }
 
+TEST_P(ThermalProperties, ShiftInAmbient) {
+  // Conduction is linear in the boundary temperatures too: raising every
+  // wall and ambient temperature by d shifts every cell by exactly d.
+  Rng rng(GetParam());
+  double total_power = 0.0;
+  const Scene scene = random_scene(rng, &total_power);
+  mesh::MeshOptions options;
+  options.default_max_cell_xy = 200e-6;
+  const auto mesh =
+      std::make_shared<const mesh::RectilinearMesh>(mesh::RectilinearMesh::build(scene, options));
+
+  auto solve_at = [&](double t_amb) {
+    thermal::BoundarySet bcs;
+    bcs[thermal::Face::kZMax] = thermal::FaceBc::convection(5e3, t_amb);
+    bcs[thermal::Face::kZMin] = thermal::FaceBc::dirichlet(t_amb);
+    return thermal::solve_steady_state(mesh, bcs);
+  };
+  const auto cool = solve_at(25.0);
+  const auto hot = solve_at(85.0);
+  for (std::size_t cell = 0; cell < mesh->cell_count(); ++cell) {
+    ASSERT_NEAR(hot.temperatures()[cell] - cool.temperatures()[cell], 60.0, 1e-6)
+        << "cell " << cell;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, ThermalProperties,
                          ::testing::Values(1u, 2u, 3u, 5u, 8u, 13u, 21u, 34u));
 

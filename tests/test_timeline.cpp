@@ -424,7 +424,7 @@ TEST(TimelinePeriodic, FiresOnABurstAndNeverOnARamp) {
   // The playback stopped exactly at the period end that latched the
   // verdict: the held periods (spp == 2) sit at the end of the trace.
   EXPECT_EQ(trace.step_count(),
-            trace.periodic_steady_step + options.periodic_hold_periods * 2u);
+            trace.periodic_steady_step + timeline::kPeriodicHoldPeriods * 2u);
 
   // A ramp (constant schedule) that has not converged must never report a
   // repeating cycle — its shrinking per-step delta is slow convergence,
