@@ -1,7 +1,9 @@
 /// \file design_space.hpp
 /// \brief Sweep helpers for the design-space explorations of Sec. V:
 /// PVCSEL x Pchip (Fig. 9-a), Pheater x PVCSEL (Fig. 9-b), heater on/off
-/// (Fig. 10) and ring-length x activity (Fig. 12).
+/// (Fig. 10) and ring-length x activity (Fig. 12). Each sweep builds its
+/// list of design points and makes one evaluate_thermal_batch() call, so
+/// the points share the engine's scheduling and its solve cache.
 #pragma once
 
 #include <functional>
@@ -23,9 +25,8 @@ struct AvgTemperaturePoint {
 };
 
 /// Sweep PVCSEL x Pchip at fixed heater ratio; evaluates the representative
-/// (most central) ONI. Grid points are solved concurrently at the enclosing
-/// budget and returned in row-major (p_chip outer) order, bit-identical
-/// across thread counts.
+/// (most central) ONI. Rows come in row-major (p_chip outer) order,
+/// bit-identical across thread counts.
 std::vector<AvgTemperaturePoint> sweep_vcsel_chip_power(const OnocDesignSpec& base,
                                                         const std::vector<double>& p_chip,
                                                         const std::vector<double>& p_vcsel);
@@ -42,9 +43,9 @@ struct SnrSweepPoint {
   double oni_t_max = 0.0;
 };
 
-/// Sweep the three ring cases across activities (Fig. 12). Scenario solves
-/// run concurrently at the enclosing budget; row order (activity outer,
-/// case inner) and values are independent of the thread count.
+/// Sweep the three ring cases across activities (Fig. 12). Row order
+/// (activity outer, case inner) and values are independent of the thread
+/// count.
 std::vector<SnrSweepPoint> sweep_snr(const OnocDesignSpec& base,
                                      const std::vector<int>& ring_cases,
                                      const std::vector<power::ActivityKind>& activities);

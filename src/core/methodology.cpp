@@ -6,10 +6,13 @@
 #include <limits>
 #include <ostream>
 #include <sstream>
+#include <unordered_map>
+#include <utility>
 
 #include "util/error.hpp"
 #include "util/log.hpp"
 #include "util/stats.hpp"
+#include "util/telemetry.hpp"
 #include "util/thread_pool.hpp"
 
 namespace photherm::core {
@@ -99,16 +102,16 @@ mesh::MeshOptions ThermalAwareDesigner::global_mesh_options() const {
   return options;
 }
 
-thermal::TwoLevelOptions ThermalAwareDesigner::two_level_options() const {
+namespace {
+
+/// Options of the fine per-ONI windows (before the ONI's own refinement).
+thermal::TwoLevelOptions window_options(const OnocDesignSpec& spec) {
   thermal::TwoLevelOptions options;
-  options.global_mesh = global_mesh_options();
   options.local_mesh.default_max_cell_xy = 25e-6;
   options.local_mesh.min_feature_size_xy = 0.0;
-  options.window_margin = spec_.window_margin;
+  options.window_margin = spec.window_margin;
   return options;
 }
-
-namespace {
 
 /// Average temperature over a set of device blocks (volume-weighted by
 /// block; blocks of one ONI have equal volumes per kind).
@@ -164,6 +167,94 @@ void key_mesh(std::ostream& os, const mesh::MeshOptions& options) {
   }
 }
 
+/// Fine pass of one interface: solve the local window around
+/// `global.system.onis[slot]` on the coarse field and extract its
+/// temperatures.
+OniThermalReport evaluate_oni(const ThermalAwareDesigner& designer,
+                              const CoarseGlobalSolve& global, std::size_t slot) {
+  const OnocDesignSpec& spec = designer.spec();
+  const soc::SccSystem& system = global.system;
+  const soc::OniInstance& oni = system.onis[slot];
+
+  // Fine window around this interface; refinement box = the footprint.
+  thermal::TwoLevelOptions options = window_options(spec);
+  mesh::RefinementBox refine;
+  refine.box =
+      Box3::make({oni.footprint.lo.x, oni.footprint.lo.y, system.z.beol_lo},
+                 {oni.footprint.hi.x, oni.footprint.hi.y, system.z.optical_hi + 5e-6});
+  refine.max_cell_xy = spec.oni_cell_xy;
+  refine.max_cell_z = spec.oni_cell_z;
+  options.local_mesh.refinements.push_back(refine);
+
+  const Box3 domain = system.scene.bounding_box();
+  const Box3 window = Box3::make({oni.footprint.lo.x, oni.footprint.lo.y, domain.lo.z},
+                                 {oni.footprint.hi.x, oni.footprint.hi.y, domain.hi.z});
+  const thermal::ThermalField local_field = thermal::solve_local_window(
+      system.scene, designer.boundary_conditions(), global.field, window, options);
+
+  const auto vcsels = system.scene.find(BlockKind::kVcsel, oni.index);
+  const auto rings = system.scene.find(BlockKind::kMicroRing, oni.index);
+  OniThermalReport r;
+  r.oni = oni.index;
+  r.average = local_field.average_in(oni.footprint);
+  r.gradient = device_gradient(local_field, vcsels, rings);
+  r.peak_spread = local_field.spread_in(oni.footprint);
+  r.vcsel_average = average_over_blocks(local_field, vcsels);
+  r.mr_average = average_over_blocks(local_field, rings);
+  r.vcsel_to_mr = r.vcsel_average - r.mr_average;
+  return r;
+}
+
+/// Fold per-ONI window reports (in slot order) into the thermal report:
+/// chip average from the coarse field, ONI mean/spread and the worst
+/// gradient.
+ThermalReport summarize(const OnocDesignSpec& spec, const CoarseGlobalSolve& global,
+                        std::vector<OniThermalReport> onis) {
+  const soc::SccSystem& system = global.system;
+  ThermalReport report;
+  const Box3 heat_box = Box3::make({0.0, 0.0, system.z.heat_lo},
+                                   {spec.package.die_x, spec.package.die_y, system.z.heat_hi});
+  report.chip_average = global.field.average_in(heat_box);
+  report.onis = std::move(onis);
+
+  std::vector<double> averages;
+  report.max_gradient = 0.0;
+  for (const OniThermalReport& r : report.onis) {
+    averages.push_back(r.average);
+    report.max_gradient = std::max(report.max_gradient, r.gradient);
+  }
+  report.oni_average = mean(averages);
+  report.oni_spread = spread(averages);
+  return report;
+}
+
+/// Partition of `[0, n)` into groups: the group of every index, and the
+/// first index of every group in first-appearance order.
+struct Grouping {
+  std::vector<std::size_t> group_of;
+  std::vector<std::size_t> first;
+};
+
+/// Group indices by equal `key_of(i)`; with `share` off or a single index
+/// every index is its own group and no key is computed.
+template <typename KeyFn>
+Grouping group_by(std::size_t n, bool share, const KeyFn& key_of) {
+  Grouping grouping;
+  grouping.group_of.resize(n);
+  std::unordered_map<std::string, std::size_t> group_index;
+  for (std::size_t i = 0; i < n; ++i) {
+    std::size_t group = grouping.first.size();
+    if (share && n > 1) {
+      group = group_index.try_emplace(key_of(i), group).first->second;
+    }
+    if (group == grouping.first.size()) {
+      grouping.first.push_back(i);
+    }
+    grouping.group_of[i] = group;
+  }
+  return grouping;
+}
+
 }  // namespace
 
 std::string ThermalAwareDesigner::make_global_key(const soc::SccSystem& system) const {
@@ -211,7 +302,7 @@ std::string ThermalAwareDesigner::thermal_key() const {
   const soc::SccSystem system = build_system();
   std::ostringstream os;
   os << make_global_key(system) << "fine:";
-  const thermal::TwoLevelOptions options = two_level_options();
+  const thermal::TwoLevelOptions options = window_options(spec_);
   key_mesh(os, options.local_mesh);
   key_number(os, options.window_margin);
   key_number(os, spec_.oni_cell_xy);
@@ -227,95 +318,15 @@ std::string ThermalAwareDesigner::thermal_key() const {
 
 CoarseGlobalSolve ThermalAwareDesigner::solve_global() const {
   soc::SccSystem system = build_system();
-  std::string key = make_global_key(system);
-  const thermal::TwoLevelOptions options = two_level_options();
   auto global_mesh = std::make_shared<const mesh::RectilinearMesh>(
-      mesh::RectilinearMesh::build(system.scene, options.global_mesh));
+      mesh::RectilinearMesh::build(system.scene, global_mesh_options()));
   thermal::ThermalField field =
-      thermal::solve_steady_state(std::move(global_mesh), boundary_conditions(), options.solver);
-  return CoarseGlobalSolve{std::move(system), std::move(key), std::move(field)};
-}
-
-OniThermalReport ThermalAwareDesigner::evaluate_oni(const CoarseGlobalSolve& global,
-                                                    std::size_t slot) const {
-  const soc::SccSystem& system = global.system;
-  PH_REQUIRE(slot < system.onis.size(), "ONI slot out of range");
-  const soc::OniInstance& oni = system.onis[slot];
-
-  // Fine window around this interface; refinement box = the footprint.
-  thermal::TwoLevelOptions options = two_level_options();
-  mesh::RefinementBox refine;
-  refine.box =
-      Box3::make({oni.footprint.lo.x, oni.footprint.lo.y, system.z.beol_lo},
-                 {oni.footprint.hi.x, oni.footprint.hi.y, system.z.optical_hi + 5e-6});
-  refine.max_cell_xy = spec_.oni_cell_xy;
-  refine.max_cell_z = spec_.oni_cell_z;
-  options.local_mesh.refinements.push_back(refine);
-
-  const Box3 domain = system.scene.bounding_box();
-  const Box3 window = Box3::make({oni.footprint.lo.x, oni.footprint.lo.y, domain.lo.z},
-                                 {oni.footprint.hi.x, oni.footprint.hi.y, domain.hi.z});
-  const thermal::ThermalField local_field = thermal::solve_local_window(
-      system.scene, boundary_conditions(), global.field, window, options);
-
-  const auto vcsels = system.scene.find(BlockKind::kVcsel, oni.index);
-  const auto rings = system.scene.find(BlockKind::kMicroRing, oni.index);
-  OniThermalReport r;
-  r.oni = oni.index;
-  r.average = local_field.average_in(oni.footprint);
-  r.gradient = device_gradient(local_field, vcsels, rings);
-  r.peak_spread = local_field.spread_in(oni.footprint);
-  r.vcsel_average = average_over_blocks(local_field, vcsels);
-  r.mr_average = average_over_blocks(local_field, rings);
-  r.vcsel_to_mr = r.vcsel_average - r.mr_average;
-  return r;
-}
-
-ThermalReport ThermalAwareDesigner::summarize(const CoarseGlobalSolve& global,
-                                              std::vector<OniThermalReport> onis) const {
-  const soc::SccSystem& system = global.system;
-  ThermalReport report;
-  const Box3 heat_box = Box3::make({0.0, 0.0, system.z.heat_lo},
-                                   {spec_.package.die_x, spec_.package.die_y, system.z.heat_hi});
-  report.chip_average = global.field.average_in(heat_box);
-  report.onis = std::move(onis);
-
-  std::vector<double> averages;
-  report.max_gradient = 0.0;
-  for (const OniThermalReport& r : report.onis) {
-    averages.push_back(r.average);
-    report.max_gradient = std::max(report.max_gradient, r.gradient);
-  }
-  report.oni_average = mean(averages);
-  report.oni_spread = spread(averages);
-  return report;
+      thermal::solve_steady_state(std::move(global_mesh), boundary_conditions());
+  return CoarseGlobalSolve{std::move(system), std::move(field)};
 }
 
 ThermalReport ThermalAwareDesigner::evaluate_thermal(std::optional<int> only_oni) const {
-  return evaluate_thermal(solve_global(), only_oni);
-}
-
-ThermalReport ThermalAwareDesigner::evaluate_thermal(const CoarseGlobalSolve& global,
-                                                     std::optional<int> only_oni) const {
-  std::vector<std::size_t> slots;
-  for (std::size_t slot = 0; slot < global.system.onis.size(); ++slot) {
-    if (!only_oni || global.system.onis[slot].index == *only_oni) {
-      slots.push_back(slot);
-    }
-  }
-  PH_REQUIRE(!slots.empty(), "no ONI was evaluated (bad only_oni index?)");
-
-  // Each window is an independent local solve; results land at their
-  // position in `slots`, so values and order match the serial loop at
-  // every thread count. The windows share the enclosing budget with the
-  // solver kernels inside them (thread_pool.hpp).
-  std::vector<OniThermalReport> onis(slots.size());
-  util::parallel_for(slots.size(), 1, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t idx = begin; idx < end; ++idx) {
-      onis[idx] = evaluate_oni(global, slots[idx]);
-    }
-  });
-  return summarize(global, std::move(onis));
+  return std::move(evaluate_thermal_batch({*this}, {}, only_oni).reports.front());
 }
 
 SnrReport ThermalAwareDesigner::analyze_snr(const ThermalReport& thermal) const {
@@ -366,16 +377,107 @@ DesignReport ThermalAwareDesigner::design_report(ThermalReport thermal) const {
 
 DesignReport ThermalAwareDesigner::run() const { return design_report(evaluate_thermal()); }
 
-std::vector<HeaterSweepPoint> explore_heater_ratios(const OnocDesignSpec& base,
-                                                    const std::vector<double>& ratios) {
-  PH_REQUIRE(!ratios.empty(), "no heater ratios to explore");
-  std::vector<HeaterSweepPoint> sweep(ratios.size());
+ThermalBatch evaluate_thermal_batch(const std::vector<ThermalAwareDesigner>& designers,
+                                    const std::function<std::string(std::size_t)>& label,
+                                    std::optional<int> only_oni, bool share,
+                                    std::size_t threads) {
+  PH_REQUIRE(!designers.empty(), "no design points to evaluate");
+  const std::size_t n = designers.size();
+  const auto name = [&label](std::size_t i) { return label ? label(i) : std::string(); };
+  const auto guarded = [&](std::size_t i, const auto& fn) {
+    if (label) {
+      with_error_context("scenario `" + label(i) + "`", fn);
+    } else {
+      fn();
+    }
+  };
 
-  // Representative interface: the one closest to the die centre.
-  const ThermalAwareDesigner probe(base);
-  const soc::SccSystem system = probe.build_system();
+  // Group designs into thermal problems, and those into global scenes.
+  // Keys serialize everything the solves read, so equal keys guarantee the
+  // shared field and report are bit-identical to the ones a cold solve
+  // would produce; equal thermal keys imply equal global keys.
+  const Grouping problems =
+      group_by(n, share, [&](std::size_t i) { return designers[i].thermal_key(); });
+  const std::size_t problem_count = problems.first.size();
+  const Grouping scenes = group_by(problem_count, share, [&](std::size_t p) {
+    return designers[problems.first[p]].global_scene_key();
+  });
+  const std::size_t scene_count = scenes.first.size();
+  PH_LOG_DEBUG << "thermal batch: " << n << " designs over " << problem_count
+               << " distinct thermal problems and " << scene_count << " global scenes";
+
+  // Coarse pass: one global solve per distinct scene.
+  std::vector<std::optional<CoarseGlobalSolve>> globals(scene_count);
+  util::parallel_for(
+      scene_count, 1,
+      [&](std::size_t begin, std::size_t end) {
+        for (std::size_t g = begin; g < end; ++g) {
+          const std::size_t i = problems.first[scenes.first[g]];
+          telemetry::Span span("batch.global_solve", name(i));
+          guarded(i, [&] { globals[g] = designers[i].solve_global(); });
+        }
+      },
+      threads);
+  const auto global_of = [&](std::size_t p) -> const CoarseGlobalSolve& {
+    return *globals[scenes.group_of[p]];
+  };
+
+  // Fine pass: every ONI window of every distinct thermal problem is one
+  // task of a single flat region, so the pool stays busy across problem
+  // boundaries. Windows land at their (problem, position) index.
+  std::vector<std::vector<std::size_t>> slots(problem_count);
+  std::vector<std::vector<OniThermalReport>> onis(problem_count);
+  std::vector<std::pair<std::size_t, std::size_t>> windows;  // (problem, position)
+  for (std::size_t p = 0; p < problem_count; ++p) {
+    const std::vector<soc::OniInstance>& instances = global_of(p).system.onis;
+    for (std::size_t slot = 0; slot < instances.size(); ++slot) {
+      if (!only_oni || instances[slot].index == *only_oni) {
+        windows.emplace_back(p, slots[p].size());
+        slots[p].push_back(slot);
+      }
+    }
+    guarded(problems.first[p], [&] {
+      PH_REQUIRE(!slots[p].empty(), "no ONI was evaluated (bad only_oni index?)");
+    });
+    onis[p].resize(slots[p].size());
+  }
+  util::parallel_for(
+      windows.size(), 1,
+      [&](std::size_t begin, std::size_t end) {
+        for (std::size_t w = begin; w < end; ++w) {
+          const auto [p, k] = windows[w];
+          const CoarseGlobalSolve& global = global_of(p);
+          const std::size_t i = problems.first[p];
+          telemetry::Span span("batch.window",
+                               name(i) + " oni" +
+                                   std::to_string(global.system.onis[slots[p][k]].index));
+          guarded(i, [&] { onis[p][k] = evaluate_oni(designers[i], global, slots[p][k]); });
+        }
+      },
+      threads);
+
+  // One ThermalReport per thermal problem, handed to each of its designs.
+  std::vector<ThermalReport> thermal(problem_count);
+  for (std::size_t p = 0; p < problem_count; ++p) {
+    const std::size_t i = problems.first[p];
+    guarded(i, [&] {
+      thermal[p] = summarize(designers[i].spec(), global_of(p), std::move(onis[p]));
+    });
+  }
+  ThermalBatch batch;
+  batch.reports.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    batch.reports.push_back(thermal[problems.group_of[i]]);
+  }
+  batch.global_solves = scene_count;
+  batch.thermal_solves = problem_count;
+  return batch;
+}
+
+int representative_oni(const OnocDesignSpec& spec) {
+  const soc::SccSystem system = ThermalAwareDesigner(spec).build_system();
   PH_REQUIRE(!system.onis.empty(), "no ONI in the system");
-  const Vec3 center{base.package.die_x / 2.0, base.package.die_y / 2.0, 0.0};
+  const Vec3 center{spec.package.die_x / 2.0, spec.package.die_y / 2.0, 0.0};
   int representative = system.onis.front().index;
   double best_distance = std::numeric_limits<double>::infinity();
   for (const soc::OniInstance& oni : system.onis) {
@@ -387,24 +489,29 @@ std::vector<HeaterSweepPoint> explore_heater_ratios(const OnocDesignSpec& base,
       representative = oni.index;
     }
   }
+  return representative;
+}
 
-  // Each ratio is an independent steady-state solve; results land at their
-  // ratio's index, so order and values do not depend on the thread count.
-  util::parallel_for(ratios.size(), 1, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t idx = begin; idx < end; ++idx) {
-      OnocDesignSpec spec = base;
-      spec.heater_ratio = ratios[idx];
-      const ThermalReport thermal = ThermalAwareDesigner(spec).evaluate_thermal(representative);
-      HeaterSweepPoint point;
-      point.heater_ratio = ratios[idx];
-      point.p_heater = spec.p_heater();
-      point.gradient = thermal.onis.front().gradient;
-      point.oni_average = thermal.onis.front().average;
-      sweep[idx] = point;
-      PH_LOG_DEBUG << "heater ratio " << point.heater_ratio << ": gradient " << point.gradient
-                   << " degC";
-    }
-  });
+std::vector<HeaterSweepPoint> explore_heater_ratios(const OnocDesignSpec& base,
+                                                    const std::vector<double>& ratios) {
+  PH_REQUIRE(!ratios.empty(), "no heater ratios to explore");
+  std::vector<ThermalAwareDesigner> designers;
+  designers.reserve(ratios.size());
+  for (const double ratio : ratios) {
+    OnocDesignSpec spec = base;
+    spec.heater_ratio = ratio;
+    designers.emplace_back(std::move(spec));
+  }
+  const ThermalBatch batch = evaluate_thermal_batch(designers, {}, representative_oni(base));
+
+  std::vector<HeaterSweepPoint> sweep;
+  for (std::size_t idx = 0; idx < ratios.size(); ++idx) {
+    const OniThermalReport& oni = batch.reports[idx].onis.front();
+    const HeaterSweepPoint& point = sweep.emplace_back(HeaterSweepPoint{
+        ratios[idx], designers[idx].spec().p_heater(), oni.gradient, oni.average});
+    PH_LOG_DEBUG << "heater ratio " << point.heater_ratio << ": gradient " << point.gradient
+                 << " degC";
+  }
   return sweep;
 }
 

@@ -1,10 +1,13 @@
 /// \file methodology.hpp
 /// \brief The paper's contribution: the thermal-aware design methodology
 /// (Fig. 3). Pipeline: system specification -> steady-state thermal
-/// simulation (two-level FVM) -> per-ONI temperature/gradient extraction ->
-/// MR-heater design-space exploration -> SNR analysis -> design report.
+/// simulation (coarse package solve + per-ONI fine windows) -> per-ONI
+/// temperature/gradient extraction -> MR-heater design-space exploration ->
+/// SNR analysis -> design report. Every steady-state evaluation, single
+/// design or batch, runs through one engine: evaluate_thermal_batch().
 #pragma once
 
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -60,15 +63,13 @@ struct DesignReport {
   bool links_ok() const;
 };
 
-/// Reusable product of the coarse global pass of the two-level scheme: the
-/// built system plus the coarse package-scale ThermalField, tagged with the
-/// scene key it was solved for. Immutable after construction and safe to
-/// share read-only across threads — the batch runner
-/// (scenario/batch_runner.hpp) caches one per distinct global scene and
-/// fans the per-ONI local-window solves of its thermal problems out over it.
+/// Product of the coarse global pass: the built system plus the coarse
+/// package-scale ThermalField. Immutable after construction and safe to
+/// share read-only across threads — evaluate_thermal_batch() solves one per
+/// distinct global scene and fans the per-ONI local windows of its thermal
+/// problems out over it.
 struct CoarseGlobalSolve {
   soc::SccSystem system;
-  std::string key;  ///< global_scene_key() of the producing spec
   thermal::ThermalField field;
 };
 
@@ -116,32 +117,10 @@ class ThermalAwareDesigner {
   /// package-scale steady state.
   CoarseGlobalSolve solve_global() const;
 
-  /// Steady-state thermal evaluation: coarse global solve plus a fine
-  /// window per ONI (evaluate_oni), folded by summarize(). When `only_oni`
-  /// is set, just that interface is refined (cuts sweep cost; the paper's
-  /// Fig. 9 tracks one interface). The per-ONI local-window solves are
-  /// independent and run on the shared pool at the enclosing budget with
-  /// index-ordered collection — results are bit-identical for every thread
-  /// count.
+  /// Steady-state thermal evaluation of this design point:
+  /// evaluate_thermal_batch() over {*this}. When `only_oni` is set, just
+  /// that interface is refined (the paper's Fig. 9 tracks one interface).
   ThermalReport evaluate_thermal(std::optional<int> only_oni = std::nullopt) const;
-
-  /// Same, reusing a coarse global solve produced by `solve_global()` of a
-  /// spec with an equal `global_scene_key()` (e.g. this one). Bit-identical
-  /// to the self-solving overload.
-  ThermalReport evaluate_thermal(const CoarseGlobalSolve& global,
-                                 std::optional<int> only_oni = std::nullopt) const;
-
-  /// Fine pass of one interface: solve the local window around
-  /// `global.system.onis[slot]` on the coarse field and extract its
-  /// temperatures. `global` as for evaluate_thermal. Windows are
-  /// independent, so a caller may run any set of them concurrently.
-  OniThermalReport evaluate_oni(const CoarseGlobalSolve& global, std::size_t slot) const;
-
-  /// Fold per-ONI window reports (in slot order) into the thermal report:
-  /// chip average from the coarse field, ONI mean/spread and the worst
-  /// gradient. evaluate_thermal and the batch runner both fold through it.
-  ThermalReport summarize(const CoarseGlobalSolve& global,
-                          std::vector<OniThermalReport> onis) const;
 
   /// SNR analysis from ONI temperatures (ring placement only).
   SnrReport analyze_snr(const ThermalReport& thermal) const;
@@ -155,11 +134,44 @@ class ThermalAwareDesigner {
   DesignReport run() const;
 
  private:
-  thermal::TwoLevelOptions two_level_options() const;
   std::string make_global_key(const soc::SccSystem& system) const;
 
   OnocDesignSpec spec_;
 };
+
+/// Thermal reports of a list of design points (evaluate_thermal_batch).
+struct ThermalBatch {
+  std::vector<ThermalReport> reports;  ///< index-aligned with the designers
+  std::size_t global_solves = 0;       ///< coarse global solves performed
+  std::size_t thermal_solves = 0;      ///< distinct thermal problems solved
+};
+
+/// The steady-state engine. Every thermal evaluation — a single design,
+/// the design-space sweeps and the scenario batch — runs through it, in
+/// stages on the shared pool (util/thread_pool.hpp):
+///  1. group the designs by thermal_key(), then the thermal problems by
+///     global_scene_key() (with `share` off every design is its own group
+///     and no key is computed);
+///  2. one coarse global solve per global scene;
+///  3. every ONI window of every thermal problem as one flat list of tasks
+///     (only the interface with index `only_oni`, when set);
+///  4. one ThermalReport per thermal problem.
+/// Designs with equal thermal keys share the whole report, ones with equal
+/// global keys the coarse field; shared results are bit-identical to cold
+/// solves because the solver is deterministic, and every result lands at
+/// its index, so the reports are bit-identical for every thread count.
+/// `threads` is the width of every stage (0 inherits the budget). When
+/// `label` is set, `label(i)` is the detail of design i's trace spans
+/// (`batch.global_solve`, `batch.window` as "<label> oni<k>") and its
+/// errors read "scenario `<label>`: ...".
+ThermalBatch evaluate_thermal_batch(const std::vector<ThermalAwareDesigner>& designers,
+                                    const std::function<std::string(std::size_t)>& label = {},
+                                    std::optional<int> only_oni = std::nullopt,
+                                    bool share = true, std::size_t threads = 0);
+
+/// Index of the representative interface of a design: the ONI closest to
+/// the die centre, which the Fig. 9/10 sweeps track.
+int representative_oni(const OnocDesignSpec& spec);
 
 /// Explore heater ratios and return (ratio, worst gradient, average) rows —
 /// the Fig. 9-b / Fig. 10 experiment in library form. The gradient is
@@ -171,9 +183,9 @@ struct HeaterSweepPoint {
   double oni_average = 0.0;    ///< [degC]
 };
 
-/// The ratios are solved concurrently at the enclosing budget
-/// (util/thread_pool.hpp) and collected in index order, so the rows are
-/// bit-identical for every thread count.
+/// One evaluate_thermal_batch() call over the ratios: repeated ratios share
+/// their thermal problem, and the rows are bit-identical for every thread
+/// count.
 std::vector<HeaterSweepPoint> explore_heater_ratios(const OnocDesignSpec& base,
                                                     const std::vector<double>& ratios);
 

@@ -1,16 +1,14 @@
 /// \file batch_runner.hpp
-/// \brief Cached batch execution of scenario lists. A batch runs in stages
-/// on the shared thread pool (util/thread_pool.hpp): one coarse global
-/// solve per distinct global scene (core::ThermalAwareDesigner::
-/// global_scene_key), then every ONI window of every distinct thermal
-/// problem (core::ThermalAwareDesigner::thermal_key) as one flat list of
-/// tasks, one ThermalReport per thermal problem, and finally the per-scenario
-/// SNR analysis. Scenarios that differ only in SNR knobs (WDM channels,
-/// fanout, waveguides, technology) share the whole thermal report; ones
-/// that differ only in the fine-window knobs still share the coarse field.
-/// Every result lands at its index, so reports are bit-identical for every
-/// thread count, and shared results are bit-identical to cold solves
-/// because the solver itself is deterministic.
+/// \brief Cached batch execution of scenario lists. The thermal stages are
+/// the steady-state engine core::evaluate_thermal_batch (one coarse solve
+/// per distinct global scene, every ONI window of every distinct thermal
+/// problem as one flat task list, one ThermalReport per thermal problem);
+/// the batch adds spec validation, the per-scenario SNR analysis, its stats
+/// and its `batch.*` counters. Scenarios that differ only in SNR knobs (WDM
+/// channels, fanout, waveguides, technology) share the whole thermal report;
+/// ones that differ only in the fine-window knobs still share the coarse
+/// field. Reports are bit-identical for every thread count and with the
+/// cache on or off.
 #pragma once
 
 #include <vector>

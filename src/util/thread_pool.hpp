@@ -2,8 +2,9 @@
 /// \brief Shared thread pool, deterministic parallel-for, and the one
 /// concurrency budget.
 ///
-/// The sweep engines (design-space grids, calibration plans, scenario and
-/// timeline batches) and the math kernels (SpMV, vector ops) dispatch onto
+/// The steady-state engine (core::evaluate_thermal_batch, behind the
+/// design-space sweeps and scenario batches), the calibration plans, the
+/// timeline batches and the math kernels (SpMV, vector ops) dispatch onto
 /// one process-wide pool. Three properties are guaranteed:
 ///
 ///  1. **Determinism.** `parallel_for` always partitions the index range

@@ -6,13 +6,16 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "core/design_space.hpp"
 #include "math/solvers.hpp"
 #include "noc/calibration.hpp"
 #include "support/fixtures.hpp"
+#include "util/error.hpp"
 #include "util/rng.hpp"
+#include "util/telemetry.hpp"
 
 namespace photherm {
 namespace {
@@ -85,16 +88,15 @@ void expect_same_thermal(const core::ThermalReport& a, const core::ThermalReport
 }
 
 TEST(ParallelSweep, OniWindowLoopIsBitIdenticalAcrossThreadCounts) {
-  // Ring placement: four independent per-ONI local-window solves, shared
-  // across thread counts from one coarse global solve.
+  // Ring placement: four independent per-ONI local-window solves on one
+  // coarse global solve.
   core::OnocDesignSpec spec = fixtures::coarse_onoc_spec();
   spec.oni_cell_xy = 40e-6;
   const core::ThermalAwareDesigner designer(spec);
-  const core::CoarseGlobalSolve global = designer.solve_global();
 
   const auto at = [&](std::size_t threads) {
     ConcurrencyGuard guard(threads);
-    return designer.evaluate_thermal(global);
+    return designer.evaluate_thermal();
   };
   const core::ThermalReport serial = at(1);
   ASSERT_EQ(serial.onis.size(), 4u);
@@ -107,19 +109,49 @@ TEST(ParallelSweep, SharedCoarseSolveMatchesColdSolveBitForBit) {
   spec.oni_cell_xy = 40e-6;
   const core::ThermalAwareDesigner designer(spec);
 
-  // A designer whose spec differs only in SNR/local knobs shares the same
-  // global scene and must reproduce its own cold solve exactly when handed
-  // the other designer's coarse field.
-  core::OnocDesignSpec snr_variant = spec;
-  snr_variant.wdm_channels = 16;
-  const core::ThermalAwareDesigner other(snr_variant);
+  // A designer whose spec differs only in a fine-window knob shares the
+  // same global scene, so the engine solves one coarse field for both, and
+  // its report on the shared field must reproduce its own cold solve.
+  core::OnocDesignSpec window_variant = spec;
+  window_variant.window_margin = 2.0 * spec.window_margin;
+  const core::ThermalAwareDesigner other(window_variant);
   ASSERT_EQ(designer.global_scene_key(), other.global_scene_key());
+  ASSERT_NE(designer.thermal_key(), other.thermal_key());
 
-  const core::CoarseGlobalSolve global = designer.solve_global();
-  EXPECT_EQ(global.key, designer.global_scene_key());
-  expect_same_thermal(other.evaluate_thermal(),               // cold: own global solve
-                      other.evaluate_thermal(global),         // shared coarse field
+  const core::ThermalBatch batch = core::evaluate_thermal_batch({designer, other});
+  EXPECT_EQ(batch.global_solves, 1u);
+  EXPECT_EQ(batch.thermal_solves, 2u);
+  expect_same_thermal(other.evaluate_thermal(),  // cold: own global solve
+                      batch.reports[1],          // shared coarse field
                       "shared coarse solve vs cold");
+}
+
+TEST(ParallelSweep, SweepsShareRepeatedThermalProblems) {
+  // A repeated ratio is the same thermal problem: the sweep solves it once
+  // (one coarse solve and one representative window per distinct ratio)
+  // and hands both rows the same report.
+  const core::OnocDesignSpec spec = sweep_spec();
+  telemetry::reset();
+  telemetry::set_enabled(true);
+  const auto sweep = core::explore_heater_ratios(spec, {0.3, 0.0, 0.3});
+  telemetry::set_enabled(false);
+  const std::string csv = telemetry::metrics_table().to_csv();
+  telemetry::reset();
+
+  ASSERT_EQ(sweep.size(), 3u);
+  EXPECT_EQ(std::memcmp(&sweep[0], &sweep[2], sizeof(core::HeaterSweepPoint)), 0);
+  const std::string row = "\nsolver.conjugate_gradient.solves,counter,";
+  const std::size_t at = csv.find(row);
+  ASSERT_NE(at, std::string::npos) << csv;
+  const std::size_t total = csv.find(',', at + row.size()) + 1;
+  EXPECT_EQ(std::stoull(csv.substr(total, csv.find(',', total) - total)), 4u) << csv;
+
+  try {
+    (void)core::ThermalAwareDesigner(spec).evaluate_thermal(99);
+    FAIL() << "an unknown only_oni index must throw";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("bad only_oni index"), std::string::npos) << e.what();
+  }
 }
 
 TEST(ParallelSweep, CalibrationPlansAreBitIdenticalAcrossThreadCounts) {

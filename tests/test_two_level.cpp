@@ -41,27 +41,35 @@ BoundarySet bcs() {
   return set;
 }
 
+/// Coarse pass of the two-level scheme: the whole scene on `global_mesh`.
+ThermalField solve_global(const Scene& scene, const mesh::MeshOptions& global_mesh) {
+  return solve_steady_state(mesh::RectilinearMesh::build(scene, global_mesh), bcs());
+}
+
 TEST(TwoLevel, LocalFieldRefinesGlobal) {
   const Scene scene = hotspot_scene();
+  mesh::MeshOptions global_mesh;
+  global_mesh.default_max_cell_xy = 500e-6;
   TwoLevelOptions options;
-  options.global_mesh.default_max_cell_xy = 500e-6;
   options.local_mesh.default_max_cell_xy = 25e-6;
   options.window_margin = 300e-6;
 
   const Box3 window = Box3::make({1.9e-3, 1.9e-3, 0}, {2.1e-3, 2.1e-3, 300e-6});
-  const auto result = solve_two_level(scene, bcs(), window, options);
+  const ThermalField global_field = solve_global(scene, global_mesh);
+  const ThermalField local_field =
+      solve_local_window(scene, bcs(), global_field, window, options);
 
   // The local field genuinely refines the window (more cells)...
-  EXPECT_GT(result.local_field.mesh().cells_in(window).size(),
-            result.global_field.mesh().cells_in(window).size());
+  EXPECT_GT(local_field.mesh().cells_in(window).size(),
+            global_field.mesh().cells_in(window).size());
   // ...resolves the hotspot above its surroundings...
   const Box3 rim = Box3::make({1.9e-3, 1.9e-3, 250e-6}, {2.1e-3, 2.1e-3, 300e-6});
-  EXPECT_GT(result.local_field.max_in(window), result.local_field.average_in(rim));
+  EXPECT_GT(local_field.max_in(window), local_field.average_in(rim));
 
   // ...and stays consistent with the coarse solution (Dirichlet shell):
   // window averages agree within a couple of degrees.
-  const double global_avg = result.global_field.average_in(window);
-  const double local_avg = result.local_field.average_in(window);
+  const double global_avg = global_field.average_in(window);
+  const double local_avg = local_field.average_in(window);
   EXPECT_NEAR(local_avg, global_avg, 2.5);
 }
 
@@ -85,31 +93,32 @@ TEST(TwoLevel, LocalMatchesSingleLevelFineReference) {
   const auto reference =
       solve_steady_state(mesh::RectilinearMesh::build(scene, fine), bcs());
 
+  mesh::MeshOptions global_mesh;
+  global_mesh.default_max_cell_xy = 100e-6;
+  global_mesh.default_max_cell_z = 40e-6;
   TwoLevelOptions options;
-  options.global_mesh.default_max_cell_xy = 100e-6;
-  options.global_mesh.default_max_cell_z = 40e-6;
   options.local_mesh.default_max_cell_xy = 20e-6;
   options.local_mesh.default_max_cell_z = 40e-6;
   options.window_margin = 250e-6;
   const Box3 window = Box3::make({0.4e-3, 0.4e-3, 0}, {0.6e-3, 0.6e-3, 200e-6});
-  const auto result = solve_two_level(scene, bcs(), window, options);
+  const ThermalField local_field =
+      solve_local_window(scene, bcs(), solve_global(scene, global_mesh), window, options);
 
   const geometry::Vec3 probe{0.5e-3, 0.5e-3, 10e-6};
   const double t_ref = reference.at(probe);
-  const double t_two = result.local_field.at(probe);
+  const double t_two = local_field.at(probe);
   // Within a few percent of the rise over ambient.
   EXPECT_NEAR(t_two, t_ref, 0.05 * (t_ref - 30.0));
 }
 
 TEST(TwoLevel, ReusingGlobalFieldAcrossWindows) {
   const Scene scene = hotspot_scene();
+  mesh::MeshOptions global_mesh;
+  global_mesh.default_max_cell_xy = 500e-6;
   TwoLevelOptions options;
-  options.global_mesh.default_max_cell_xy = 500e-6;
   options.local_mesh.default_max_cell_xy = 50e-6;
 
-  auto global_mesh = std::make_shared<const mesh::RectilinearMesh>(
-      mesh::RectilinearMesh::build(scene, options.global_mesh));
-  const auto global_field = solve_steady_state(global_mesh, bcs());
+  const ThermalField global_field = solve_global(scene, global_mesh);
 
   const Box3 w1 = Box3::make({1.9e-3, 1.9e-3, 0}, {2.1e-3, 2.1e-3, 300e-6});
   const Box3 w2 = Box3::make({0.5e-3, 0.5e-3, 0}, {0.9e-3, 0.9e-3, 300e-6});
@@ -120,9 +129,11 @@ TEST(TwoLevel, ReusingGlobalFieldAcrossWindows) {
 
 TEST(TwoLevel, WindowOutsideDomainRejected) {
   const Scene scene = hotspot_scene();
-  TwoLevelOptions options;
+  mesh::MeshOptions global_mesh;
+  global_mesh.default_max_cell_xy = 500e-6;
+  const ThermalField global_field = solve_global(scene, global_mesh);
   const Box3 outside = Box3::make({10e-3, 10e-3, 0}, {11e-3, 11e-3, 1e-3});
-  EXPECT_THROW(solve_two_level(scene, bcs(), outside, options), Error);
+  EXPECT_THROW(solve_local_window(scene, bcs(), global_field, outside, TwoLevelOptions{}), Error);
 }
 
 }  // namespace
