@@ -1,12 +1,10 @@
 #include "scenario/scenario.hpp"
 
-#include <fstream>
-#include <functional>
 #include <set>
-#include <sstream>
 
 #include "util/error.hpp"
 #include "util/string_util.hpp"
+#include "util/text_file.hpp"
 
 namespace photherm::scenario {
 
@@ -15,13 +13,11 @@ namespace {
 /// Shortest round-trip spelling (util::format_shortest): serialize/parse is
 /// bit-identical while common values stay readable ("0.3", not
 /// "0.29999999999999999").
-std::string fmt(double value) { return format_shortest(value); }
-
 std::string fmt_schedule(const std::vector<power::ActivityPhase>& schedule) {
   std::vector<std::string> parts;
   parts.reserve(schedule.size());
   for (const power::ActivityPhase& p : schedule) {
-    parts.push_back(fmt(p.duration) + ":" + fmt(p.scale));
+    parts.push_back(format_shortest(p.duration) + ":" + format_shortest(p.scale));
   }
   return join(parts, ", ");
 }
@@ -45,113 +41,55 @@ std::vector<power::ActivityPhase> parse_schedule(const std::string& value) {
   return schedule;
 }
 
-/// One field of the scenario format: its key plus how to read it from and
-/// write it into a ScenarioSpec.
-struct FieldIo {
-  const char* key;
-  std::function<std::string(const ScenarioSpec&)> get;
-  std::function<void(ScenarioSpec&, const std::string&)> set;
-};
+using Field = RecordField<ScenarioSpec>;
+using Values = std::vector<std::string>;
 
-const std::vector<FieldIo>& field_table() {
-  using power::activity_kind_from_string;
-  static const std::vector<FieldIo> fields{
-      {"activity", [](const ScenarioSpec& s) { return power::to_string(s.design.activity); },
-       [](ScenarioSpec& s, const std::string& v) {
-         s.design.activity = activity_kind_from_string(v);
-       }},
-      {"chip_power", [](const ScenarioSpec& s) { return fmt(s.design.chip_power); },
-       [](ScenarioSpec& s, const std::string& v) {
-         s.design.chip_power = parse_double(v, "chip_power");
-       }},
-      // ph-lint: allow(serialization) integral field; integers round-trip exactly
-      {"seed", [](const ScenarioSpec& s) { return std::to_string(s.design.seed); },
-       [](ScenarioSpec& s, const std::string& v) { s.design.seed = parse_uint(v, "seed"); }},
-      {"placement", [](const ScenarioSpec& s) { return core::to_string(s.design.placement); },
-       [](ScenarioSpec& s, const std::string& v) {
-         s.design.placement = core::placement_from_string(v);
-       }},
-      // ph-lint: allow(serialization) integral field; integers round-trip exactly
-      {"ring_case", [](const ScenarioSpec& s) { return std::to_string(s.design.ring_case_id); },
-       [](ScenarioSpec& s, const std::string& v) {
-         s.design.ring_case_id = static_cast<int>(parse_uint(v, "ring_case"));
-       }},
-      {"p_vcsel", [](const ScenarioSpec& s) { return fmt(s.design.p_vcsel); },
-       [](ScenarioSpec& s, const std::string& v) {
-         s.design.p_vcsel = parse_double(v, "p_vcsel");
-       }},
-      {"heater_ratio", [](const ScenarioSpec& s) { return fmt(s.design.heater_ratio); },
-       [](ScenarioSpec& s, const std::string& v) {
-         s.design.heater_ratio = parse_double(v, "heater_ratio");
-       }},
-      {"active_tx",
-       // ph-lint: allow(serialization) integral field; integers round-trip exactly
-       [](const ScenarioSpec& s) { return std::to_string(s.design.active_tx_per_waveguide); },
-       [](ScenarioSpec& s, const std::string& v) {
-         s.design.active_tx_per_waveguide = parse_uint(v, "active_tx");
-       }},
-      {"driver_equals_vcsel",
-       [](const ScenarioSpec& s) {
-         return std::string(s.design.p_driver_equals_p_vcsel ? "true" : "false");
-       },
-       [](ScenarioSpec& s, const std::string& v) {
-         s.design.p_driver_equals_p_vcsel = parse_bool(v, "driver_equals_vcsel");
-       }},
-      {"t_ambient", [](const ScenarioSpec& s) { return fmt(s.design.package.t_ambient); },
-       [](ScenarioSpec& s, const std::string& v) {
-         s.design.package.t_ambient = parse_double(v, "t_ambient");
-       }},
-      {"h_top", [](const ScenarioSpec& s) { return fmt(s.design.package.h_top); },
-       [](ScenarioSpec& s, const std::string& v) {
-         s.design.package.h_top = parse_double(v, "h_top");
-       }},
-      {"h_bottom", [](const ScenarioSpec& s) { return fmt(s.design.package.h_bottom); },
-       [](ScenarioSpec& s, const std::string& v) {
-         s.design.package.h_bottom = parse_double(v, "h_bottom");
-       }},
-      // ph-lint: allow(serialization) integral field; integers round-trip exactly
-      {"fanout", [](const ScenarioSpec& s) { return std::to_string(s.design.fanout); },
-       [](ScenarioSpec& s, const std::string& v) { s.design.fanout = parse_uint(v, "fanout"); }},
-      // ph-lint: allow(serialization) integral field; integers round-trip exactly
-      {"waveguides", [](const ScenarioSpec& s) { return std::to_string(s.design.waveguides); },
-       [](ScenarioSpec& s, const std::string& v) {
-         s.design.waveguides = parse_uint(v, "waveguides");
-       }},
-      {"wdm_channels",
-       // ph-lint: allow(serialization) integral field; integers round-trip exactly
-       [](const ScenarioSpec& s) { return std::to_string(s.design.wdm_channels); },
-       [](ScenarioSpec& s, const std::string& v) {
-         s.design.wdm_channels = parse_uint(v, "wdm_channels");
-       }},
-      {"global_cell_xy", [](const ScenarioSpec& s) { return fmt(s.design.global_cell_xy); },
-       [](ScenarioSpec& s, const std::string& v) {
-         s.design.global_cell_xy = parse_double(v, "global_cell_xy");
-       }},
-      {"oni_cell_xy", [](const ScenarioSpec& s) { return fmt(s.design.oni_cell_xy); },
-       [](ScenarioSpec& s, const std::string& v) {
-         s.design.oni_cell_xy = parse_double(v, "oni_cell_xy");
-       }},
-      {"oni_cell_z", [](const ScenarioSpec& s) { return fmt(s.design.oni_cell_z); },
-       [](ScenarioSpec& s, const std::string& v) {
-         s.design.oni_cell_z = parse_double(v, "oni_cell_z");
-       }},
-      {"window_margin", [](const ScenarioSpec& s) { return fmt(s.design.window_margin); },
-       [](ScenarioSpec& s, const std::string& v) {
-         s.design.window_margin = parse_double(v, "window_margin");
-       }},
-      {"schedule", [](const ScenarioSpec& s) { return fmt_schedule(s.schedule); },
-       [](ScenarioSpec& s, const std::string& v) { s.schedule = parse_schedule(v); }},
-  };
-  return fields;
-}
-
-const FieldIo* find_field(const std::string& key) {
-  for (const FieldIo& field : field_table()) {
-    if (key == field.key) {
-      return &field;
-    }
-  }
-  return nullptr;
+/// The scenario format: every key once, in serialization order.
+const RecordFormat<ScenarioSpec>& format() {
+  static const RecordFormat<ScenarioSpec> scenario_format{
+      "scenario",
+      "scenario",
+      "scenario suite",
+      {
+          {"activity",
+           [](const ScenarioSpec& s) -> Values { return {power::to_string(s.design.activity)}; },
+           [](ScenarioSpec& s, const std::string& v, const std::string&) {
+             s.design.activity = power::activity_kind_from_string(v);
+           }},
+          Field::scalar("chip_power", [](auto& s) -> auto& { return s.design.chip_power; }),
+          Field::scalar("seed", [](auto& s) -> auto& { return s.design.seed; }),
+          {"placement",
+           [](const ScenarioSpec& s) -> Values { return {core::to_string(s.design.placement)}; },
+           [](ScenarioSpec& s, const std::string& v, const std::string&) {
+             s.design.placement = core::placement_from_string(v);
+           }},
+          Field::scalar("ring_case", [](auto& s) -> auto& { return s.design.ring_case_id; }),
+          Field::scalar("p_vcsel", [](auto& s) -> auto& { return s.design.p_vcsel; }),
+          Field::scalar("heater_ratio", [](auto& s) -> auto& { return s.design.heater_ratio; }),
+          Field::scalar("active_tx",
+                        [](auto& s) -> auto& { return s.design.active_tx_per_waveguide; }),
+          Field::scalar("driver_equals_vcsel",
+                        [](auto& s) -> auto& { return s.design.p_driver_equals_p_vcsel; }),
+          Field::scalar("t_ambient", [](auto& s) -> auto& { return s.design.package.t_ambient; }),
+          Field::scalar("h_top", [](auto& s) -> auto& { return s.design.package.h_top; }),
+          Field::scalar("h_bottom", [](auto& s) -> auto& { return s.design.package.h_bottom; }),
+          Field::scalar("fanout", [](auto& s) -> auto& { return s.design.fanout; }),
+          Field::scalar("waveguides", [](auto& s) -> auto& { return s.design.waveguides; }),
+          Field::scalar("wdm_channels", [](auto& s) -> auto& { return s.design.wdm_channels; }),
+          Field::scalar("global_cell_xy", [](auto& s) -> auto& { return s.design.global_cell_xy; }),
+          Field::scalar("oni_cell_xy", [](auto& s) -> auto& { return s.design.oni_cell_xy; }),
+          Field::scalar("oni_cell_z", [](auto& s) -> auto& { return s.design.oni_cell_z; }),
+          Field::scalar("window_margin", [](auto& s) -> auto& { return s.design.window_margin; }),
+          // An empty schedule writes no line: key absent means "always on".
+          {"schedule",
+           [](const ScenarioSpec& s) -> Values {
+             return s.schedule.empty() ? Values{} : Values{fmt_schedule(s.schedule)};
+           },
+           [](ScenarioSpec& s, const std::string& v, const std::string&) {
+             s.schedule = parse_schedule(v);
+           }},
+      }};
+  return scenario_format;
 }
 
 bool valid_name(const std::string& name) {
@@ -166,11 +104,6 @@ bool valid_name(const std::string& name) {
     }
   }
   return true;
-}
-
-[[noreturn]] void parse_fail(std::size_t line_number, const std::string& message) {
-  // ph-lint: allow(serialization) integral line number in an error message, not persisted output
-  throw SpecError("scenario file, line " + std::to_string(line_number) + ": " + message);
 }
 
 }  // namespace
@@ -189,13 +122,7 @@ core::OnocDesignSpec ScenarioSpec::effective_design() const {
 }
 
 const std::vector<std::string>& scenario_keys() {
-  static const std::vector<std::string> keys = [] {
-    std::vector<std::string> k;
-    for (const FieldIo& field : field_table()) {
-      k.emplace_back(field.key);
-    }
-    return k;
-  }();
+  static const std::vector<std::string> keys = format().keys();
   return keys;
 }
 
@@ -203,96 +130,40 @@ std::vector<ScenarioSpec> parse_scenarios(const std::string& text,
                                           const core::OnocDesignSpec& base) {
   std::vector<ScenarioSpec> scenarios;
   std::set<std::string> seen_names;
-  std::istringstream stream(text);
-  std::string raw;
-  std::size_t line_number = 0;
-
-  while (std::getline(stream, raw)) {
-    ++line_number;
-    const std::size_t comment = raw.find('#');
-    if (comment != std::string::npos) {
-      raw.resize(comment);
+  format().read(text, [&](const std::string& name) -> ScenarioSpec& {
+    if (!valid_name(name)) {
+      throw SpecError("scenario name `" + name +
+                      "` is empty or contains characters outside [A-Za-z0-9_.-]");
     }
-    const std::string line = trim(raw);
-    if (line.empty()) {
-      continue;
+    if (!seen_names.insert(name).second) {
+      throw SpecError("duplicate scenario name `" + name + "`");
     }
-
-    if (line.rfind("scenario", 0) == 0 &&
-        (line.size() == 8 || line[8] == ' ' || line[8] == '\t')) {
-      const std::string name = trim(line.substr(8));
-      if (!valid_name(name)) {
-        parse_fail(line_number, "scenario name `" + name +
-                                    "` is empty or contains characters outside [A-Za-z0-9_.-]");
-      }
-      if (!seen_names.insert(name).second) {
-        parse_fail(line_number, "duplicate scenario name `" + name + "`");
-      }
-      ScenarioSpec spec;
-      spec.name = name;
-      spec.design = base;
-      scenarios.push_back(std::move(spec));
-      continue;
-    }
-
-    const std::size_t eq = line.find('=');
-    if (eq == std::string::npos) {
-      parse_fail(line_number, "expected `scenario <name>` or `key = value`, got `" + line + "`");
-    }
-    if (scenarios.empty()) {
-      parse_fail(line_number, "`key = value` before any `scenario <name>` line");
-    }
-    const std::string key = trim(line.substr(0, eq));
-    const std::string value = trim(line.substr(eq + 1));
-    const FieldIo* field = find_field(key);
-    if (field == nullptr) {
-      parse_fail(line_number, "unknown key `" + key + "`; known keys: " +
-                                  join(scenario_keys(), ", "));
-    }
-    try {
-      field->set(scenarios.back(), value);
-    } catch (const Error& e) {
-      parse_fail(line_number, e.what());
-    }
-  }
+    ScenarioSpec& spec = scenarios.emplace_back();
+    spec.name = name;
+    spec.design = base;
+    return spec;
+  });
   return scenarios;
 }
 
 std::string serialize_scenarios(const std::vector<ScenarioSpec>& scenarios) {
-  std::ostringstream os;
-  os << "# photherm scenario suite (" << scenarios.size() << " scenarios)\n";
+  std::string out = format().header(scenarios.size());
   for (const ScenarioSpec& s : scenarios) {
     PH_REQUIRE(valid_name(s.name), "scenario name `" + s.name +
                                        "` is empty or contains characters outside "
                                        "[A-Za-z0-9_.-]; cannot serialize");
-    os << "\nscenario " << s.name << "\n";
-    for (const FieldIo& field : field_table()) {
-      const std::string value = field.get(s);
-      if (value.empty()) {
-        continue;  // empty schedule: key absent means "always on"
-      }
-      os << field.key << " = " << value << "\n";
-    }
+    format().append(out, s.name, s);
   }
-  return os.str();
+  return out;
 }
 
 std::vector<ScenarioSpec> load_scenario_file(const std::string& path,
                                              const core::OnocDesignSpec& base) {
-  std::ifstream in(path);
-  PH_REQUIRE(in.good(), "cannot open scenario file: " + path);
-  std::ostringstream text;
-  text << in.rdbuf();
-  PH_REQUIRE(!in.bad(), "failed while reading scenario file: " + path);
-  return parse_scenarios(text.str(), base);
+  return parse_scenarios(read_text_file(path, "scenario file"), base);
 }
 
 void save_scenario_file(const std::string& path, const std::vector<ScenarioSpec>& scenarios) {
-  std::ofstream out(path);
-  PH_REQUIRE(out.good(), "cannot open scenario output file: " + path);
-  out << serialize_scenarios(scenarios);
-  out.flush();
-  PH_REQUIRE(out.good(), "failed while writing scenario file: " + path);
+  write_text_file(path, serialize_scenarios(scenarios), "scenario output file");
 }
 
 }  // namespace photherm::scenario

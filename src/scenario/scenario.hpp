@@ -6,21 +6,18 @@
 /// of these; the registry (registry.hpp) expands parameterized families
 /// into them.
 ///
-/// File format — line oriented, `#` starts a comment:
+/// A scenario file is a record file (util/text_file.hpp) whose records open
+/// with `scenario <name>`:
 ///
 ///     scenario hotspot_85c
 ///     activity = hotspot
-///     chip_power = 25
 ///     t_ambient = 85
-///     heater_ratio = 0.3
 ///     schedule = 0.6:1, 0.4:0.25
 ///
-/// A `scenario <name>` line opens a scenario; `key = value` lines override
-/// fields until the next one. Unlisted fields keep the values of the base
-/// design passed to the parser (package geometry, ONI layout and technology
-/// parameters are only reachable through that base). Serialization writes
-/// every covered key at full precision, so parse(serialize(x)) reproduces x
-/// bit for bit.
+/// Unlisted keys keep the values of the base design passed to the parser
+/// (package geometry, ONI layout and technology parameters are only
+/// reachable through that base). Serialization writes every key at full
+/// precision, so parse(serialize(x)) reproduces x bit for bit.
 #pragma once
 
 #include <string>
@@ -51,8 +48,8 @@ struct ScenarioSpec {
 const std::vector<std::string>& scenario_keys();
 
 /// Parse a scenario file. `base` supplies every field the format does not
-/// cover. Throws SpecError (with the line number) on unknown keys, bad
-/// values, duplicate or invalid names.
+/// cover. Throws SpecError ("scenario file, line N: ...") on unknown keys,
+/// bad values, duplicate or invalid names.
 std::vector<ScenarioSpec> parse_scenarios(const std::string& text,
                                           const core::OnocDesignSpec& base = {});
 

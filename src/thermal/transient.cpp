@@ -41,8 +41,8 @@ TransientSolver::TransientSolver(std::shared_ptr<const mesh::RectilinearMesh> me
   system_ = assemble(*mesh_, bcs);
   rebuild_stepping();
   state_.assign(mesh_->cell_count(), 0.0);
-  // Separate injected power from boundary wall terms so set_power_scale /
-  // set_power throttle only the heat sources, not the ambient coupling.
+  // Separate injected power from boundary wall terms so set_power
+  // throttles only the heat sources, not the ambient coupling.
   power_.resize(mesh_->cell_count());
   bc_rhs_.resize(mesh_->cell_count());
   for (std::size_t i = 0; i < mesh_->cell_count(); ++i) {
@@ -68,8 +68,7 @@ const ThermalField& TransientSolver::step() {
   const std::size_t n = mesh_->cell_count();
   math::Vector rhs(n);
   for (std::size_t i = 0; i < n; ++i) {
-    rhs[i] = system_.capacitance[i] / options_.time_step * state_[i] + bc_rhs_[i] +
-             power_scale_ * power_[i];
+    rhs[i] = system_.capacitance[i] / options_.time_step * state_[i] + bc_rhs_[i] + power_[i];
   }
   // Warm start: the update (C/dt + A) T_{n+1} = (C/dt) T_n + q moves the
   // field a little per step, so the previous state is an excellent initial
@@ -119,11 +118,6 @@ void TransientSolver::rebuild_stepping() {
 void TransientSolver::set_time(double time) {
   PH_REQUIRE(time >= 0.0 && std::isfinite(time), "time must be non-negative and finite");
   time_ = time;
-}
-
-void TransientSolver::set_power_scale(double scale) {
-  PH_REQUIRE(scale >= 0.0, "power scale must be non-negative");
-  power_scale_ = scale;
 }
 
 void TransientSolver::set_power(const math::Vector& power) {

@@ -1,45 +1,159 @@
 #include "timeline/checkpoint.hpp"
 
-#include <fstream>
 #include <sstream>
 
 #include "util/error.hpp"
 #include "util/string_util.hpp"
+#include "util/text_file.hpp"
 
 namespace photherm::timeline {
 
 namespace {
 
-std::string fmt(double value) { return format_shortest(value); }
+using Field = RecordField<PlaybackCheckpoint>;
+using Values = std::vector<std::string>;
 
 std::string fmt_vector(const math::Vector& v) {
-  std::ostringstream os;
+  std::string out;
   for (std::size_t i = 0; i < v.size(); ++i) {
-    os << (i ? " " : "") << fmt(v[i]);
+    if (i != 0) {
+      out += ' ';
+    }
+    out += format_shortest(v[i]);
   }
-  return os.str();
+  return out;
+}
+
+std::vector<std::string> tokens(const std::string& value) {
+  std::vector<std::string> out;
+  std::istringstream is(value);
+  std::string token;
+  while (is >> token) {
+    out.push_back(token);
+  }
+  return out;
 }
 
 math::Vector parse_vector(const std::string& value, const std::string& what) {
   math::Vector v;
-  std::istringstream is(value);
-  std::string token;
-  while (is >> token) {
+  for (const std::string& token : tokens(value)) {
     v.push_back(parse_double(token, what));
   }
   return v;
 }
 
-[[noreturn]] void parse_fail(std::size_t line_number, const std::string& message) {
-  // ph-lint: allow(serialization) integral line number in an error message, not persisted output
-  throw SpecError("checkpoint file, line " + std::to_string(line_number) + ": " + message);
+/// The checkpoint format: every key once, in serialization order. `cycle`
+/// and `row` repeat (one line per buffered field / per trace step).
+const RecordFormat<PlaybackCheckpoint>& format() {
+  static const RecordFormat<PlaybackCheckpoint> checkpoint_format{
+      "checkpoint",
+      "playback",
+      "timeline checkpoint",
+      {
+          Field::scalar("base_dt", [](auto& c) -> auto& { return c.base_time_step; }),
+          Field::scalar("current_dt", [](auto& c) -> auto& { return c.current_time_step; }),
+          Field::scalar("time", [](auto& c) -> auto& { return c.time; }),
+          Field::scalar("step_in_period", [](auto& c) -> auto& { return c.step_in_period; }),
+          Field::scalar("last_step_delta", [](auto& c) -> auto& { return c.last_step_delta; }),
+          Field::scalar("in_tolerance_run", [](auto& c) -> auto& { return c.in_tolerance_run; }),
+          Field::scalar("cycle_count", [](auto& c) -> auto& { return c.cycle_count; }),
+          Field::scalar("cycle_hold", [](auto& c) -> auto& { return c.cycle_hold; }),
+          Field::scalar("cycle_max_delta", [](auto& c) -> auto& { return c.cycle_max_delta; }),
+          {"state", [](const PlaybackCheckpoint& c) -> Values { return {fmt_vector(c.state)}; },
+           [](PlaybackCheckpoint& c, const std::string& v, const std::string& key) {
+             c.state = parse_vector(v, key);
+           }},
+          {"cycle",
+           [](const PlaybackCheckpoint& c) {
+             Values lines;
+             for (const math::Vector& slot : c.cycle_buffer) {
+               lines.push_back(fmt_vector(slot));
+             }
+             return lines;
+           },
+           [](PlaybackCheckpoint& c, const std::string& v, const std::string& key) {
+             c.cycle_buffer.push_back(parse_vector(v, key));
+           }},
+          Field::scalar("period", [](auto& c) -> auto& { return c.trace.period; }),
+          Field::scalar("final_dt", [](auto& c) -> auto& { return c.trace.final_time_step; }),
+          Field::scalar("dt_growths", [](auto& c) -> auto& { return c.trace.dt_growths; }),
+          Field::scalar("reference_tolerance",
+                        [](auto& c) -> auto& { return c.trace.reference_tolerance; }),
+          Field::scalar("settled", [](auto& c) -> auto& { return c.trace.settled; }),
+          Field::scalar("settle_time", [](auto& c) -> auto& { return c.trace.settle_time; }),
+          Field::scalar("settle_step", [](auto& c) -> auto& { return c.trace.settle_step; }),
+          Field::scalar("final_delta", [](auto& c) -> auto& { return c.trace.final_delta; }),
+          Field::scalar("periodic", [](auto& c) -> auto& { return c.trace.periodic_steady; }),
+          Field::scalar("periodic_time",
+                        [](auto& c) -> auto& { return c.trace.periodic_steady_time; }),
+          Field::scalar("periodic_step",
+                        [](auto& c) -> auto& { return c.trace.periodic_steady_step; }),
+          Field::scalar("cycle_delta", [](auto& c) -> auto& { return c.trace.cycle_delta; }),
+          {"stats",
+           [](const PlaybackCheckpoint& c) -> Values {
+             const thermal::TransientStats& s = c.trace.stats;
+             std::ostringstream os;
+             os << s.steps << " " << s.total_cg_iterations << " " << s.max_cg_iterations << " "
+                << s.reassemblies << " " << s.preconditioner_builds;
+             return {os.str()};
+           },
+           [](PlaybackCheckpoint& c, const std::string& v, const std::string& key) {
+             // 4-counter form: checkpoints written before preconditioner_builds
+             // existed; they resume with the new counter at zero.
+             const std::vector<std::string> parts = tokens(v);
+             if (parts.size() != 4 && parts.size() != 5) {
+               throw SpecError(key + " expects 4 or 5 counters");
+             }
+             thermal::TransientStats& s = c.trace.stats;
+             s.steps = parse_uint(parts[0], key);
+             s.total_cg_iterations = parse_uint(parts[1], key);
+             s.max_cg_iterations = parse_uint(parts[2], key);
+             s.reassemblies = parse_uint(parts[3], key);
+             s.preconditioner_builds = parts.size() == 5 ? parse_uint(parts[4], key) : 0;
+           }},
+          {"probes",
+           [](const PlaybackCheckpoint& c) -> Values { return {join(c.trace.probe_names, " ")}; },
+           [](PlaybackCheckpoint& c, const std::string& v, const std::string&) {
+             c.trace.probe_names = tokens(v);
+           }},
+          {"row",
+           [](const PlaybackCheckpoint& c) {
+             const TimelineTrace& t = c.trace;
+             Values lines;
+             lines.reserve(t.step_count());
+             for (std::size_t k = 0; k < t.step_count(); ++k) {
+               std::ostringstream line;
+               line << format_shortest(t.times[k]) << " " << format_shortest(t.power_scale[k])
+                    << " " << t.cg_iterations[k];
+               for (double sample : t.samples[k]) {
+                 line << " " << format_shortest(sample);
+               }
+               lines.push_back(line.str());
+             }
+             return lines;
+           },
+           [](PlaybackCheckpoint& c, const std::string& v, const std::string& key) {
+             const std::vector<std::string> parts = tokens(v);
+             if (parts.size() < 3) {
+               throw SpecError(key + " expects time, power scale, CG iterations, samples");
+             }
+             TimelineTrace& t = c.trace;
+             t.times.push_back(parse_double(parts[0], key));
+             t.power_scale.push_back(parse_double(parts[1], key));
+             t.cg_iterations.push_back(parse_uint(parts[2], key));
+             math::Vector& samples = t.samples.emplace_back();
+             for (std::size_t i = 3; i < parts.size(); ++i) {
+               samples.push_back(parse_double(parts[i], key));
+             }
+           }},
+      }};
+  return checkpoint_format;
 }
 
 }  // namespace
 
 std::string serialize_checkpoints(const std::vector<PlaybackCheckpoint>& checkpoints) {
-  std::ostringstream os;
-  os << "# photherm timeline checkpoint (" << checkpoints.size() << " playbacks)\n";
+  std::string out = format().header(checkpoints.size());
   for (const PlaybackCheckpoint& c : checkpoints) {
     PH_REQUIRE(!c.scenario.empty(), "checkpoint without a scenario name; cannot serialize");
     const TimelineTrace& t = c.trace;
@@ -47,178 +161,21 @@ std::string serialize_checkpoints(const std::vector<PlaybackCheckpoint>& checkpo
     PH_REQUIRE(t.power_scale.size() == steps && t.cg_iterations.size() == steps &&
                    t.samples.size() == steps,
                "trace of `" + c.scenario + "` is not index-aligned; cannot serialize");
-    os << "\nplayback " << c.scenario << "\n";
-    os << "base_dt = " << fmt(c.base_time_step) << "\n";
-    os << "current_dt = " << fmt(c.current_time_step) << "\n";
-    os << "time = " << fmt(c.time) << "\n";
-    os << "step_in_period = " << c.step_in_period << "\n";
-    os << "last_step_delta = " << fmt(c.last_step_delta) << "\n";
-    os << "in_tolerance_run = " << c.in_tolerance_run << "\n";
-    os << "cycle_count = " << c.cycle_count << "\n";
-    os << "cycle_hold = " << c.cycle_hold << "\n";
-    os << "cycle_max_delta = " << fmt(c.cycle_max_delta) << "\n";
-    os << "state = " << fmt_vector(c.state) << "\n";
-    for (const math::Vector& slot : c.cycle_buffer) {
-      os << "cycle = " << fmt_vector(slot) << "\n";
-    }
-    os << "period = " << fmt(t.period) << "\n";
-    os << "final_dt = " << fmt(t.final_time_step) << "\n";
-    os << "dt_growths = " << t.dt_growths << "\n";
-    os << "reference_tolerance = " << fmt(t.reference_tolerance) << "\n";
-    os << "settled = " << (t.settled ? "true" : "false") << "\n";
-    os << "settle_time = " << fmt(t.settle_time) << "\n";
-    os << "settle_step = " << t.settle_step << "\n";
-    os << "final_delta = " << fmt(t.final_delta) << "\n";
-    os << "periodic = " << (t.periodic_steady ? "true" : "false") << "\n";
-    os << "periodic_time = " << fmt(t.periodic_steady_time) << "\n";
-    os << "periodic_step = " << t.periodic_steady_step << "\n";
-    os << "cycle_delta = " << fmt(t.cycle_delta) << "\n";
-    os << "stats = " << t.stats.steps << " " << t.stats.total_cg_iterations << " "
-       << t.stats.max_cg_iterations << " " << t.stats.reassemblies << " "
-       << t.stats.preconditioner_builds << "\n";
-    os << "probes = " << join(t.probe_names, " ") << "\n";
-    for (std::size_t k = 0; k < steps; ++k) {
-      os << "row = " << fmt(t.times[k]) << " " << fmt(t.power_scale[k]) << " "
-         << t.cg_iterations[k];
-      for (double sample : t.samples[k]) {
-        os << " " << fmt(sample);
-      }
-      os << "\n";
-    }
+    format().append(out, c.scenario, c);
   }
-  return os.str();
+  return out;
 }
 
 std::vector<PlaybackCheckpoint> parse_checkpoints(const std::string& text) {
   std::vector<PlaybackCheckpoint> checkpoints;
-  std::istringstream stream(text);
-  std::string raw;
-  std::size_t line_number = 0;
-
-  const auto current = [&]() -> PlaybackCheckpoint& {
-    if (checkpoints.empty()) {
-      parse_fail(line_number, "`key = value` before any `playback <name>` line");
+  format().read(text, [&](const std::string& name) -> PlaybackCheckpoint& {
+    if (name.empty()) {
+      throw SpecError("playback line without a scenario name");
     }
-    return checkpoints.back();
-  };
-
-  while (std::getline(stream, raw)) {
-    ++line_number;
-    const std::size_t comment = raw.find('#');
-    if (comment != std::string::npos) {
-      raw.resize(comment);
-    }
-    const std::string line = trim(raw);
-    if (line.empty()) {
-      continue;
-    }
-
-    if (line.rfind("playback", 0) == 0 &&
-        (line.size() == 8 || line[8] == ' ' || line[8] == '\t')) {
-      const std::string name = trim(line.substr(8));
-      if (name.empty()) {
-        parse_fail(line_number, "playback line without a scenario name");
-      }
-      PlaybackCheckpoint ckpt;
-      ckpt.scenario = name;
-      checkpoints.push_back(std::move(ckpt));
-      continue;
-    }
-
-    const std::size_t eq = line.find('=');
-    if (eq == std::string::npos) {
-      parse_fail(line_number,
-                 "expected `playback <name>` or `key = value`, got `" + line + "`");
-    }
-    const std::string key = trim(line.substr(0, eq));
-    const std::string value = trim(line.substr(eq + 1));
-    PlaybackCheckpoint& c = current();
-    TimelineTrace& t = c.trace;
-    try {
-      if (key == "base_dt") {
-        c.base_time_step = parse_double(value, key);
-      } else if (key == "current_dt") {
-        c.current_time_step = parse_double(value, key);
-      } else if (key == "time") {
-        c.time = parse_double(value, key);
-      } else if (key == "step_in_period") {
-        c.step_in_period = parse_uint(value, key);
-      } else if (key == "last_step_delta") {
-        c.last_step_delta = parse_double(value, key);
-      } else if (key == "in_tolerance_run") {
-        c.in_tolerance_run = parse_uint(value, key);
-      } else if (key == "cycle_count") {
-        c.cycle_count = parse_uint(value, key);
-      } else if (key == "cycle_hold") {
-        c.cycle_hold = parse_uint(value, key);
-      } else if (key == "cycle_max_delta") {
-        c.cycle_max_delta = parse_double(value, key);
-      } else if (key == "state") {
-        c.state = parse_vector(value, key);
-      } else if (key == "cycle") {
-        c.cycle_buffer.push_back(parse_vector(value, key));
-      } else if (key == "period") {
-        t.period = parse_double(value, key);
-      } else if (key == "final_dt") {
-        t.final_time_step = parse_double(value, key);
-      } else if (key == "dt_growths") {
-        t.dt_growths = parse_uint(value, key);
-      } else if (key == "reference_tolerance") {
-        t.reference_tolerance = parse_double(value, key);
-      } else if (key == "settled") {
-        t.settled = parse_bool(value, key);
-      } else if (key == "settle_time") {
-        t.settle_time = parse_double(value, key);
-      } else if (key == "settle_step") {
-        t.settle_step = parse_uint(value, key);
-      } else if (key == "final_delta") {
-        t.final_delta = parse_double(value, key);
-      } else if (key == "periodic") {
-        t.periodic_steady = parse_bool(value, key);
-      } else if (key == "periodic_time") {
-        t.periodic_steady_time = parse_double(value, key);
-      } else if (key == "periodic_step") {
-        t.periodic_steady_step = parse_uint(value, key);
-      } else if (key == "cycle_delta") {
-        t.cycle_delta = parse_double(value, key);
-      } else if (key == "stats") {
-        const math::Vector parts = parse_vector(value, key);
-        // 4-counter form: checkpoints written before preconditioner_builds
-        // existed; they resume with the new counter at zero.
-        if (parts.size() != 4 && parts.size() != 5) {
-          parse_fail(line_number, "stats expects 4 or 5 counters");
-        }
-        t.stats.steps = static_cast<std::size_t>(parts[0]);
-        t.stats.total_cg_iterations = static_cast<std::size_t>(parts[1]);
-        t.stats.max_cg_iterations = static_cast<std::size_t>(parts[2]);
-        t.stats.reassemblies = static_cast<std::size_t>(parts[3]);
-        t.stats.preconditioner_builds = parts.size() == 5 ? static_cast<std::size_t>(parts[4]) : 0;
-      } else if (key == "probes") {
-        t.probe_names.clear();
-        std::istringstream names(value);
-        std::string name;
-        while (names >> name) {
-          t.probe_names.push_back(name);
-        }
-      } else if (key == "row") {
-        const math::Vector row = parse_vector(value, key);
-        if (row.size() < 3) {
-          parse_fail(line_number, "row expects time, power scale, CG iterations, samples");
-        }
-        t.times.push_back(row[0]);
-        t.power_scale.push_back(row[1]);
-        t.cg_iterations.push_back(static_cast<std::size_t>(row[2]));
-        t.samples.emplace_back(row.begin() + 3, row.end());
-      } else {
-        parse_fail(line_number, "unknown key `" + key + "`");
-      }
-    } catch (const SpecError&) {
-      throw;
-    } catch (const Error& e) {
-      parse_fail(line_number, e.what());
-    }
-  }
-
+    PlaybackCheckpoint& ckpt = checkpoints.emplace_back();
+    ckpt.scenario = name;
+    return ckpt;
+  });
   for (PlaybackCheckpoint& c : checkpoints) {
     if (c.base_time_step <= 0.0 || c.current_time_step <= 0.0 || c.state.empty()) {
       throw SpecError("checkpoint `" + c.scenario +
@@ -230,21 +187,12 @@ std::vector<PlaybackCheckpoint> parse_checkpoints(const std::string& text) {
 }
 
 std::vector<PlaybackCheckpoint> load_checkpoint_file(const std::string& path) {
-  std::ifstream in(path);
-  PH_REQUIRE(in.good(), "cannot open checkpoint file: " + path);
-  std::ostringstream text;
-  text << in.rdbuf();
-  PH_REQUIRE(!in.bad(), "failed while reading checkpoint file: " + path);
-  return parse_checkpoints(text.str());
+  return parse_checkpoints(read_text_file(path, "checkpoint file"));
 }
 
 void save_checkpoint_file(const std::string& path,
                           const std::vector<PlaybackCheckpoint>& checkpoints) {
-  std::ofstream out(path);
-  PH_REQUIRE(out.good(), "cannot open checkpoint output file: " + path);
-  out << serialize_checkpoints(checkpoints);
-  out.flush();
-  PH_REQUIRE(out.good(), "failed while writing checkpoint file: " + path);
+  write_text_file(path, serialize_checkpoints(checkpoints), "checkpoint output file");
 }
 
 }  // namespace photherm::timeline

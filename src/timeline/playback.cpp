@@ -132,21 +132,13 @@ Playback::Playback(const scenario::ScenarioSpec& spec, const PlaybackOptions& op
   solve_steady_reference(base);
 
   // Recreate the grid in effect at the pause: the base grid, or the one
-  // adaptive growth had reached (a constant-scale schedule regrows to a
-  // single one-step segment; a multi-scale one re-quantizes the schedule).
+  // adaptive growth had reached.
   if (dt_ == options_.time_step) {
     adopt_timeline(std::move(base));
-  } else if (constant_scale_) {
-    PowerTimeline grown;
-    grown.time_step = dt_;
-    grown.segments.push_back({base.segments.front().scale, 1, dt_});
-    adopt_timeline(std::move(grown));
   } else {
-    PowerTimeline grown =
-        compile_timeline(schedule_, dt_, std::numeric_limits<double>::infinity());
-    PH_REQUIRE(grown.relative_period_error() <= options_.max_period_error,
-               "checkpoint time step violates the period-error bound");
-    adopt_timeline(std::move(grown));
+    std::optional<PowerTimeline> grown = grown_timeline(dt_);
+    PH_REQUIRE(grown.has_value(), "checkpoint time step violates the period-error bound");
+    adopt_timeline(std::move(*grown));
   }
 
   // adopt_timeline resets the detectors; restore the paused detector state
@@ -304,6 +296,24 @@ void Playback::adopt_timeline(PowerTimeline timeline) {
   cycle_buffer_.assign(periodic_enabled_ ? spp : 0, math::Vector());
 }
 
+std::optional<PowerTimeline> Playback::grown_timeline(double dt) const {
+  if (constant_scale_) {
+    // No period constraint: the power never changes, so the grid is free
+    // and one one-step segment plays the whole schedule.
+    PowerTimeline grown;
+    grown.time_step = dt;
+    grown.segments.push_back({schedule_.empty() ? 1.0 : schedule_.front().scale, 1, dt});
+    return grown;
+  }
+  // Re-quantize the (periodic) schedule on the coarser grid; refuse a grid
+  // the schedule no longer fits.
+  PowerTimeline grown = compile_timeline(schedule_, dt, std::numeric_limits<double>::infinity());
+  if (grown.relative_period_error() > options_.max_period_error) {
+    return std::nullopt;
+  }
+  return grown;
+}
+
 void Playback::maybe_grow_dt() {
   if (!options_.adaptive || trace_.step_count() == 0 || finished_) {
     return;
@@ -324,25 +334,17 @@ void Playback::maybe_grow_dt() {
   if (!(next > dt_)) {
     return;
   }
-  PowerTimeline grown;
-  if (constant_scale_) {
-    // No period constraint: the power never changes, so the grid is free.
-    grown.time_step = next;
-    grown.segments.push_back({timeline_.segments.front().scale, 1, next});
-  } else {
-    // Re-quantize the remaining (periodic) schedule on the coarser grid;
-    // stay on the current grid when the schedule no longer fits it.
-    grown = compile_timeline(schedule_, next, std::numeric_limits<double>::infinity());
-    if (grown.relative_period_error() > options_.max_period_error) {
-      return;
-    }
+  // Stay on the current grid when the schedule no longer fits the next one.
+  std::optional<PowerTimeline> grown = grown_timeline(next);
+  if (!grown) {
+    return;
   }
   PH_LOG_DEBUG << "timeline `" << trace_.scenario << "`: growing dt " << dt_ << " -> "
                << next << " s at t = " << solver_->time() << " s (step delta "
                << last_step_delta_ << " degC)";
   dt_ = next;
   solver_->set_time_step(dt_);
-  adopt_timeline(std::move(grown));
+  adopt_timeline(std::move(*grown));
   trace_.dt_growths += 1;
   telemetry::count("playback.dt_growths");
   trace_.final_time_step = dt_;

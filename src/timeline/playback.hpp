@@ -202,6 +202,10 @@ class Playback {
   void build_scene(const scenario::ScenarioSpec& spec);
   void solve_steady_reference(const PowerTimeline& base_timeline);
   void adopt_timeline(PowerTimeline timeline);
+  /// The grid at step `dt` (above the base step): one one-step segment for a
+  /// constant-scale schedule, else the schedule re-quantized onto `dt`;
+  /// nullopt when that misses the period-error bound.
+  std::optional<PowerTimeline> grown_timeline(double dt) const;
   void maybe_grow_dt();
   void step_once();
   void update_periodic(const math::Vector& temperatures);

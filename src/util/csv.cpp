@@ -1,13 +1,13 @@
 #include "util/csv.hpp"
 
 #include <algorithm>
-#include <fstream>
 #include <iomanip>
 #include <ostream>
 #include <sstream>
 
 #include "util/error.hpp"
 #include "util/string_util.hpp"
+#include "util/text_file.hpp"
 
 namespace photherm {
 
@@ -111,10 +111,7 @@ std::string Table::to_csv() const {
 }
 
 void Table::write_csv(const std::string& path) const {
-  std::ofstream out(path);
-  PH_REQUIRE(out.good(), "cannot open CSV output file: " + path);
-  out << to_csv();
-  PH_REQUIRE(out.good(), "failed while writing CSV output file: " + path);
+  write_text_file(path, to_csv(), "CSV output file");
 }
 
 void print_table(std::ostream& os, const std::string& title, const Table& table) {

@@ -4,7 +4,6 @@
 #include <bit>
 #include <chrono>
 #include <cmath>
-#include <fstream>
 #include <limits>
 #include <map>
 #include <memory>
@@ -13,6 +12,7 @@
 
 #include "util/error.hpp"
 #include "util/string_util.hpp"
+#include "util/text_file.hpp"
 
 // Build provenance for the run manifest. CMake scopes real values onto this
 // one translation unit (set_source_files_properties in the top-level
@@ -292,14 +292,6 @@ const std::map<std::string, std::string>& builtin_manifest() {
 /// session length) without the lint-banned setprecision machinery.
 std::string format_us(std::int64_t ns) { return format_shortest(static_cast<double>(ns) / 1e3); }
 
-void write_text_file(const std::string& path, const std::string& payload) {
-  std::ofstream out(path);
-  PH_REQUIRE(out.good(), "cannot open telemetry output file: " + path);
-  out << payload;
-  out.flush();
-  PH_REQUIRE(out.good(), "failed while writing telemetry output file: " + path);
-}
-
 }  // namespace
 
 namespace detail {
@@ -566,8 +558,12 @@ std::string trace_json() {
   return os.str();
 }
 
-void write_metrics_csv(const std::string& path) { write_text_file(path, metrics_csv()); }
+void write_metrics_csv(const std::string& path) {
+  write_text_file(path, metrics_csv(), "metrics CSV");
+}
 
-void write_trace_json(const std::string& path) { write_text_file(path, trace_json()); }
+void write_trace_json(const std::string& path) {
+  write_text_file(path, trace_json(), "trace JSON");
+}
 
 }  // namespace photherm::telemetry

@@ -492,6 +492,16 @@ TEST(TimelineCheckpoint, TextRoundTripIsExact) {
   EXPECT_THROW(timeline::parse_checkpoints("playback x\nbase_dt = 0.1\n"), SpecError);
 }
 
+TEST(TimelineCheckpoint, RejectsNonIntegerCounters) {
+  // Counters are integers on disk: a negative, overflowing or fractional
+  // token is an error, not a cast of a parsed double.
+  const std::string head = "playback x\nbase_dt = 0.1\ncurrent_dt = 0.1\nstate = 1\n";
+  EXPECT_NO_THROW(timeline::parse_checkpoints(head + "stats = 1 2 3 4\nrow = 0.2 1 2\n"));
+  EXPECT_THROW(timeline::parse_checkpoints(head + "stats = -1 0 0 0 0\n"), SpecError);
+  EXPECT_THROW(timeline::parse_checkpoints(head + "row = 0.2 1 1e300\n"), SpecError);
+  EXPECT_THROW(timeline::parse_checkpoints(head + "row = 0.2 1 2.5\n"), SpecError);
+}
+
 TEST(TimelineCheckpoint, ResumeContinuesBitIdentically) {
   ScenarioSpec s = coarse_scenario();
   s.schedule = {{0.4, 1.0}, {0.2, 0.1}};

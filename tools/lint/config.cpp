@@ -4,10 +4,10 @@
 #include "lint/config.hpp"
 
 #include <algorithm>
-#include <fstream>
 #include <sstream>
 
 #include "util/error.hpp"
+#include "util/text_file.hpp"
 
 namespace photherm::lint {
 
@@ -90,10 +90,7 @@ bool suffix_match(const std::string& path, const std::string& suffix) {
 }
 
 Config load_config(const std::string& path, const std::set<std::string>& known_rules) {
-  std::ifstream in(path);
-  if (!in) {
-    throw Error("cannot open lint config " + path);
-  }
+  std::istringstream in(read_text_file(path, "lint config"));
   Config config;
   std::map<std::string, std::vector<std::string>> direct_layers;
   std::string raw;

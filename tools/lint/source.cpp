@@ -4,11 +4,11 @@
 #include "lint/source.hpp"
 
 #include <cctype>
-#include <fstream>
 #include <regex>
 #include <sstream>
 
 #include "util/error.hpp"
+#include "util/text_file.hpp"
 
 namespace photherm::lint {
 
@@ -160,9 +160,7 @@ SourceFile parse_source(const std::string& content, const std::string& report_pa
               // everything between the quote and it.
               const std::size_t open = raw.find('(', j + 1);
               if (open != std::string::npos) {
-                raw_delim = ")";
-                raw_delim.append(raw, j + 1, open - j - 1);
-                raw_delim += '"';
+                raw_delim = ')' + raw.substr(j + 1, open - j - 1) + '"';
                 state = State::kRawString;
                 pending.clear();
                 pending_line = line_no;
@@ -337,13 +335,7 @@ SourceFile parse_source(const std::string& content, const std::string& report_pa
 }
 
 SourceFile load_source(const std::string& disk_path, const std::string& report_path) {
-  std::ifstream in(disk_path, std::ios::binary);
-  if (!in) {
-    throw Error("cannot open " + disk_path);
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return parse_source(buffer.str(), report_path);
+  return parse_source(read_text_file(disk_path, "source file"), report_path);
 }
 
 }  // namespace photherm::lint

@@ -37,7 +37,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
-#include <fstream>
 #include <functional>
 #include <iostream>
 #include <optional>
@@ -55,6 +54,7 @@
 #include "util/log.hpp"
 #include "util/string_util.hpp"
 #include "util/telemetry.hpp"
+#include "util/text_file.hpp"
 #include "util/thread_pool.hpp"
 
 namespace {
@@ -103,11 +103,7 @@ void write_output(const std::optional<std::string>& path, const std::string& pay
     std::cout << payload;
     return;
   }
-  std::ofstream out(*path);
-  PH_REQUIRE(out.good(), "cannot open output file: " + *path);
-  out << payload;
-  out.flush();
-  PH_REQUIRE(out.good(), "failed while writing output file: " + *path);
+  write_text_file(*path, payload, "output file");
 }
 
 /// Pop `--flag value` style options shared by expand/run/play.
@@ -410,8 +406,7 @@ std::optional<double> as_number(const std::string& cell) {
 }
 
 std::vector<std::string> read_lines(const std::string& path) {
-  std::ifstream in(path);
-  PH_REQUIRE(in.good(), "cannot open CSV file: " + path);
+  std::istringstream in(read_text_file(path, "CSV file"));
   std::vector<std::string> lines;
   std::string line;
   while (std::getline(in, line)) {

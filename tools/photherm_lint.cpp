@@ -18,9 +18,9 @@
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <map>
+#include <sstream>
 #include <set>
 #include <string>
 #include <vector>
@@ -29,6 +29,7 @@
 #include "lint/rules.hpp"
 #include "lint/source.hpp"
 #include "util/error.hpp"
+#include "util/text_file.hpp"
 
 namespace fs = std::filesystem;
 
@@ -92,10 +93,7 @@ std::string json_escape(const std::string& text) {
 /// Minimal SARIF 2.1.0: one run, the rule registry as reportingDescriptors,
 /// one result per finding. Enough for GitHub code scanning upload.
 void write_sarif(const std::string& path, const std::vector<Finding>& findings) {
-  std::ofstream out(path);
-  if (!out) {
-    throw Error("cannot write SARIF report to " + path);
-  }
+  std::ostringstream out;
   out << "{\n"
          "  \"version\": \"2.1.0\",\n"
          "  \"$schema\": "
@@ -125,6 +123,7 @@ void write_sarif(const std::string& path, const std::vector<Finding>& findings) 
   out << "    ]\n"
          "  }]\n"
          "}\n";
+  photherm::write_text_file(path, out.str(), "SARIF report");
 }
 
 int usage(std::ostream& os, int code) {

@@ -34,7 +34,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <map>
 #include <optional>
@@ -46,6 +45,7 @@
 #include "util/csv.hpp"
 #include "util/error.hpp"
 #include "util/string_util.hpp"
+#include "util/text_file.hpp"
 
 namespace {
 
@@ -327,15 +327,6 @@ struct Artifact {
   JsonValue json;                            ///< bench/trace only
 };
 
-std::string read_file(const std::string& path) {
-  std::ifstream in(path);
-  PH_REQUIRE(in.good(), "cannot open artifact: " + path);
-  std::ostringstream os;
-  os << in.rdbuf();
-  PH_REQUIRE(!in.bad(), "failed while reading artifact: " + path);
-  return os.str();
-}
-
 double parse_cell_number(const std::string& cell, const std::string& context) {
   const std::string text = trim(cell);
   char* end = nullptr;
@@ -445,7 +436,7 @@ void load_bench_json(Artifact& artifact) {
 Artifact load_artifact(const std::string& path) {
   Artifact artifact;
   artifact.path = path;
-  const std::string content = read_file(path);
+  const std::string content = read_text_file(path, "artifact");
   std::size_t first = 0;
   while (first < content.size() &&
          (content[first] == ' ' || content[first] == '\n' || content[first] == '\r' ||
@@ -511,8 +502,7 @@ bool glob_match(const std::string& pattern, const std::string& text) {
 }
 
 std::vector<GateRule> load_gate_rules(const std::string& path) {
-  std::ifstream in(path);
-  PH_REQUIRE(in.good(), "cannot open gate rules file: " + path);
+  std::istringstream in(read_text_file(path, "gate rules file"));
   std::vector<GateRule> rules;
   std::string raw;
   std::size_t line_no = 0;
