@@ -47,7 +47,7 @@ using Values = std::vector<std::string>;
 /// The scenario format: every key once, in serialization order.
 const RecordFormat<ScenarioSpec>& format() {
   static const RecordFormat<ScenarioSpec> scenario_format{
-      "scenario",
+      "scenario file",
       "scenario",
       "scenario suite",
       {
@@ -127,10 +127,11 @@ const std::vector<std::string>& scenario_keys() {
 }
 
 std::vector<ScenarioSpec> parse_scenarios(const std::string& text,
-                                          const core::OnocDesignSpec& base) {
+                                          const core::OnocDesignSpec& base,
+                                          const std::string& path) {
   std::vector<ScenarioSpec> scenarios;
   std::set<std::string> seen_names;
-  format().read(text, [&](const std::string& name) -> ScenarioSpec& {
+  format().read(text, path, [&](const std::string& name) -> ScenarioSpec& {
     if (!valid_name(name)) {
       throw SpecError("scenario name `" + name +
                       "` is empty or contains characters outside [A-Za-z0-9_.-]");
@@ -159,7 +160,7 @@ std::string serialize_scenarios(const std::vector<ScenarioSpec>& scenarios) {
 
 std::vector<ScenarioSpec> load_scenario_file(const std::string& path,
                                              const core::OnocDesignSpec& base) {
-  return parse_scenarios(read_text_file(path, "scenario file"), base);
+  return parse_scenarios(read_text_file(path, "scenario file"), base, path);
 }
 
 void save_scenario_file(const std::string& path, const std::vector<ScenarioSpec>& scenarios) {

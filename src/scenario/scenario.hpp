@@ -47,11 +47,13 @@ struct ScenarioSpec {
 /// Keys understood by the parser/serializer, in serialization order.
 const std::vector<std::string>& scenario_keys();
 
-/// Parse a scenario file. `base` supplies every field the format does not
-/// cover. Throws SpecError ("scenario file, line N: ...") on unknown keys,
-/// bad values, duplicate or invalid names.
+/// Parse a scenario file read from `path` (empty for in-memory text).
+/// `base` supplies every field the format does not cover. Throws SpecError
+/// ("scenario file <path>, line N: ...") on unknown keys, bad values,
+/// duplicate or invalid names.
 std::vector<ScenarioSpec> parse_scenarios(const std::string& text,
-                                          const core::OnocDesignSpec& base = {});
+                                          const core::OnocDesignSpec& base = {},
+                                          const std::string& path = "");
 
 /// Serialize scenarios to the file format at full precision.
 std::string serialize_scenarios(const std::vector<ScenarioSpec>& scenarios);

@@ -24,19 +24,9 @@ std::string fmt_vector(const math::Vector& v) {
   return out;
 }
 
-std::vector<std::string> tokens(const std::string& value) {
-  std::vector<std::string> out;
-  std::istringstream is(value);
-  std::string token;
-  while (is >> token) {
-    out.push_back(token);
-  }
-  return out;
-}
-
 math::Vector parse_vector(const std::string& value, const std::string& what) {
   math::Vector v;
-  for (const std::string& token : tokens(value)) {
+  for (const std::string& token : split_words(value)) {
     v.push_back(parse_double(token, what));
   }
   return v;
@@ -46,7 +36,7 @@ math::Vector parse_vector(const std::string& value, const std::string& what) {
 /// and `row` repeat (one line per buffered field / per trace step).
 const RecordFormat<PlaybackCheckpoint>& format() {
   static const RecordFormat<PlaybackCheckpoint> checkpoint_format{
-      "checkpoint",
+      "checkpoint file",
       "playback",
       "timeline checkpoint",
       {
@@ -100,7 +90,7 @@ const RecordFormat<PlaybackCheckpoint>& format() {
            [](PlaybackCheckpoint& c, const std::string& v, const std::string& key) {
              // 4-counter form: checkpoints written before preconditioner_builds
              // existed; they resume with the new counter at zero.
-             const std::vector<std::string> parts = tokens(v);
+             const std::vector<std::string> parts = split_words(v);
              if (parts.size() != 4 && parts.size() != 5) {
                throw SpecError(key + " expects 4 or 5 counters");
              }
@@ -114,7 +104,7 @@ const RecordFormat<PlaybackCheckpoint>& format() {
           {"probes",
            [](const PlaybackCheckpoint& c) -> Values { return {join(c.trace.probe_names, " ")}; },
            [](PlaybackCheckpoint& c, const std::string& v, const std::string&) {
-             c.trace.probe_names = tokens(v);
+             c.trace.probe_names = split_words(v);
            }},
           {"row",
            [](const PlaybackCheckpoint& c) {
@@ -133,7 +123,7 @@ const RecordFormat<PlaybackCheckpoint>& format() {
              return lines;
            },
            [](PlaybackCheckpoint& c, const std::string& v, const std::string& key) {
-             const std::vector<std::string> parts = tokens(v);
+             const std::vector<std::string> parts = split_words(v);
              if (parts.size() < 3) {
                throw SpecError(key + " expects time, power scale, CG iterations, samples");
              }
@@ -166,9 +156,10 @@ std::string serialize_checkpoints(const std::vector<PlaybackCheckpoint>& checkpo
   return out;
 }
 
-std::vector<PlaybackCheckpoint> parse_checkpoints(const std::string& text) {
+std::vector<PlaybackCheckpoint> parse_checkpoints(const std::string& text,
+                                                  const std::string& path) {
   std::vector<PlaybackCheckpoint> checkpoints;
-  format().read(text, [&](const std::string& name) -> PlaybackCheckpoint& {
+  format().read(text, path, [&](const std::string& name) -> PlaybackCheckpoint& {
     if (name.empty()) {
       throw SpecError("playback line without a scenario name");
     }
@@ -187,7 +178,7 @@ std::vector<PlaybackCheckpoint> parse_checkpoints(const std::string& text) {
 }
 
 std::vector<PlaybackCheckpoint> load_checkpoint_file(const std::string& path) {
-  return parse_checkpoints(read_text_file(path, "checkpoint file"));
+  return parse_checkpoints(read_text_file(path, "checkpoint file"), path);
 }
 
 void save_checkpoint_file(const std::string& path,

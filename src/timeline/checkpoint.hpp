@@ -25,10 +25,12 @@ namespace photherm::timeline {
 /// Serialize checkpoints at full (shortest round-trip) precision.
 std::string serialize_checkpoints(const std::vector<PlaybackCheckpoint>& checkpoints);
 
-/// Parse a checkpoint file. Throws SpecError ("checkpoint file, line N:
-/// ...") on unknown keys, malformed numbers, counters that are not
-/// non-negative integers, or missing mandatory fields.
-std::vector<PlaybackCheckpoint> parse_checkpoints(const std::string& text);
+/// Parse a checkpoint file read from `path` (empty for in-memory text).
+/// Throws SpecError ("checkpoint file <path>, line N: ...") on unknown
+/// keys, malformed numbers, counters that are not non-negative integers,
+/// or missing mandatory fields.
+std::vector<PlaybackCheckpoint> parse_checkpoints(const std::string& text,
+                                                  const std::string& path = "");
 
 /// Read + parse a checkpoint file; throws photherm::Error on I/O failure.
 std::vector<PlaybackCheckpoint> load_checkpoint_file(const std::string& path);

@@ -57,79 +57,40 @@ double max_abs_delta(const math::Vector& a, const math::Vector& b) {
   return delta;
 }
 
-void validate_options(const PlaybackOptions& options) {
-  PH_REQUIRE(options.max_periods >= 1, "playback needs at least one period");
-  PH_REQUIRE(options.settle_tolerance > 0.0, "settle tolerance must be positive");
-}
-
 }  // namespace
 
 Playback::Playback(const scenario::ScenarioSpec& spec, const PlaybackOptions& options)
     : options_(options), schedule_(spec.schedule) {
-  validate_options(options_);
-  build_scene(spec);
-
-  PowerTimeline base =
-      compile_timeline(schedule_, options_.time_step, options_.max_period_error);
-  constant_scale_ = constant_scale(schedule_);
-  dt_ = options_.time_step;
-  horizon_time_ = static_cast<double>(options_.max_periods) * base.period();
-
-  thermal::TransientOptions transient_options;
-  transient_options.time_step = dt_;
-  transient_options.solver = options_.solver;
-  solver_.emplace(mesh_, boundary_set_, transient_options);
+  adopt_timeline(start(spec, options_.time_step));
   solver_->set_uniform_state(spec.design.package.t_ambient);
-
-  trace_.scenario = spec.name;
-  trace_.probe_names = probes_->names();
-  trace_.period = base.period();
-  trace_.final_time_step = dt_;
-
-  solve_steady_reference(base);
-  adopt_timeline(std::move(base));
 }
 
 Playback::Playback(const scenario::ScenarioSpec& spec, const PlaybackOptions& options,
                    const PlaybackCheckpoint& checkpoint)
-    : options_(options), schedule_(spec.schedule) {
-  validate_options(options_);
+    : options_(options), schedule_(spec.schedule), trace_(checkpoint.trace) {
   PH_REQUIRE(checkpoint.scenario == spec.name,
              "checkpoint is for scenario `" + checkpoint.scenario +
                  "`, not `" + spec.name + "`");
   PH_REQUIRE(checkpoint.base_time_step == options_.time_step,
              "checkpoint was taken at a different base time step; resume with the "
              "options the playback started with");
-  build_scene(spec);
+  PH_REQUIRE(checkpoint.current_time_step > 0.0,
+             "checkpoint carries a non-positive time step");
+  telemetry::instant("checkpoint.resumes");
+  // The base grid fixes the horizon and the duty of the settle reference;
+  // both must reproduce the original construction exactly.
+  PowerTimeline base = start(spec, checkpoint.current_time_step);
 
   const std::size_t n = mesh_->cell_count();
   PH_REQUIRE(checkpoint.state.size() == n,
              "checkpoint field does not match the scenario's mesh");
   PH_REQUIRE(checkpoint.trace.probe_names == probes_->names(),
              "checkpoint probe set does not match the scenario");
-
-  // The base grid fixes the horizon and the duty of the settle reference;
-  // both must reproduce the original construction exactly.
-  PowerTimeline base =
-      compile_timeline(schedule_, options_.time_step, options_.max_period_error);
-  constant_scale_ = constant_scale(schedule_);
   PH_REQUIRE(checkpoint.trace.period == base.period(),
              "checkpoint period does not match the compiled schedule");
-  horizon_time_ = static_cast<double>(options_.max_periods) * base.period();
-  dt_ = checkpoint.current_time_step;
-  PH_REQUIRE(dt_ > 0.0, "checkpoint carries a non-positive time step");
-
-  thermal::TransientOptions transient_options;
-  transient_options.time_step = dt_;
-  transient_options.solver = options_.solver;
-  solver_.emplace(mesh_, boundary_set_, transient_options);
   solver_->set_state(thermal::ThermalField(mesh_, checkpoint.state));
   solver_->set_time(checkpoint.time);
-
-  trace_ = checkpoint.trace;
   stats_offset_ = checkpoint.trace.stats;
-  telemetry::instant("checkpoint.resumes");
-  solve_steady_reference(base);
 
   // Recreate the grid in effect at the pause: the base grid, or the one
   // adaptive growth had reached.
@@ -148,7 +109,6 @@ Playback::Playback(const scenario::ScenarioSpec& spec, const PlaybackOptions& op
   step_in_period_ = checkpoint.step_in_period;
   in_tolerance_run_ = checkpoint.in_tolerance_run;
   last_step_delta_ = checkpoint.last_step_delta;
-  trace_.final_time_step = dt_;
   if (periodic_enabled_) {
     const std::size_t spp = timeline_.steps_per_period();
     const std::size_t filled = std::min(checkpoint.cycle_count, spp);
@@ -163,6 +123,31 @@ Playback::Playback(const scenario::ScenarioSpec& spec, const PlaybackOptions& op
     cycle_hold_ = checkpoint.cycle_hold;
     cycle_max_delta_ = checkpoint.cycle_max_delta;
   }
+}
+
+PowerTimeline Playback::start(const scenario::ScenarioSpec& spec, double dt) {
+  PH_REQUIRE(options_.max_periods >= 1, "playback needs at least one period");
+  PH_REQUIRE(options_.settle_tolerance > 0.0, "settle tolerance must be positive");
+  build_scene(spec);
+
+  PowerTimeline base =
+      compile_timeline(schedule_, options_.time_step, options_.max_period_error);
+  constant_scale_ = constant_scale(schedule_);
+  dt_ = dt;
+  horizon_time_ = static_cast<double>(options_.max_periods) * base.period();
+
+  thermal::TransientOptions transient_options;
+  transient_options.time_step = dt_;
+  transient_options.solver = options_.solver;
+  solver_.emplace(mesh_, boundary_set_, transient_options);
+
+  trace_.scenario = spec.name;
+  trace_.probe_names = probes_->names();
+  trace_.period = base.period();
+  trace_.final_time_step = dt_;
+
+  solve_steady_reference(base);
+  return base;
 }
 
 void Playback::build_scene(const scenario::ScenarioSpec& spec) {

@@ -199,6 +199,9 @@ class Playback {
   TimelineTrace take_trace() { return std::move(trace_); }
 
  private:
+  /// The setup both constructors share (scene, solver at step `dt`, trace
+  /// header, steady reference); returns the base grid.
+  PowerTimeline start(const scenario::ScenarioSpec& spec, double dt);
   void build_scene(const scenario::ScenarioSpec& spec);
   void solve_steady_reference(const PowerTimeline& base_timeline);
   void adopt_timeline(PowerTimeline timeline);

@@ -65,18 +65,19 @@ std::string to_lower(std::string s) {
   return s;
 }
 
-std::string trim(const std::string& s) {
-  const auto is_space = [](unsigned char ch) { return std::isspace(ch) != 0; };
-  std::size_t lo = 0;
-  std::size_t hi = s.size();
-  while (lo < hi && is_space(static_cast<unsigned char>(s[lo]))) {
-    ++lo;
-  }
-  while (hi > lo && is_space(static_cast<unsigned char>(s[hi - 1]))) {
-    --hi;
-  }
-  return s.substr(lo, hi - lo);
+namespace {
+/// The characters std::isspace accepts in the "C" locale.
+constexpr std::string_view kSpaces = " \t\n\v\f\r";
+}  // namespace
+
+std::string_view trim_view(std::string_view s) {
+  const std::size_t first = s.find_first_not_of(kSpaces);
+  return first == std::string_view::npos
+             ? std::string_view()
+             : s.substr(first, s.find_last_not_of(kSpaces) - first + 1);
 }
+
+std::string trim(std::string_view s) { return std::string(trim_view(s)); }
 
 std::vector<std::string> split(const std::string& s, char delim) {
   std::vector<std::string> parts;
@@ -92,30 +93,59 @@ std::vector<std::string> split(const std::string& s, char delim) {
   }
 }
 
-double parse_double(const std::string& s, const std::string& what) {
+std::vector<std::string> split_words(std::string_view s) {
+  std::vector<std::string> words;
+  std::size_t begin = s.find_first_not_of(kSpaces);
+  while (begin != std::string_view::npos) {
+    const std::size_t end = s.find_first_of(kSpaces, begin);
+    words.emplace_back(s.substr(begin, end - begin));
+    begin = s.find_first_not_of(kSpaces, end);
+  }
+  return words;
+}
+
+std::optional<double> parse_number(std::string_view s) {
   const std::string text = trim(s);
-  PH_REQUIRE(!text.empty(), "empty value for " + what);
+  if (text.empty()) {
+    return std::nullopt;
+  }
   char* end = nullptr;
   const double value = std::strtod(text.c_str(), &end);
   if (end != text.c_str() + text.size()) {
-    throw SpecError("cannot parse `" + text + "` as a number for " + what);
-  }
-  // Rejects "inf"/"nan" and overflowed literals like 1e999: non-finite
-  // inputs must fail here, not deep inside a solver.
-  if (!std::isfinite(value)) {
-    throw SpecError("`" + text + "` is not a finite number for " + what);
+    return std::nullopt;
   }
   return value;
 }
 
-std::uint64_t parse_uint(const std::string& s, const std::string& what) {
+double parse_double(const std::string& s, const std::string& what) {
+  const std::optional<double> value = parse_number(s);
+  if (!value) {
+    const std::string text = trim(s);
+    throw SpecError(text.empty() ? "empty value for " + what
+                                 : "cannot parse `" + text + "` as a number for " + what);
+  }
+  // Rejects "inf"/"nan" and overflowed literals like 1e999: non-finite
+  // inputs must fail here, not deep inside a solver.
+  if (!std::isfinite(*value)) {
+    throw SpecError("`" + trim(s) + "` is not a finite number for " + what);
+  }
+  return *value;
+}
+
+std::uint64_t parse_uint(const std::string& s, const std::string& what, std::uint64_t max) {
   const std::string text = trim(s);
-  PH_REQUIRE(!text.empty(), "empty value for " + what);
+  if (text.empty()) {
+    throw SpecError("empty value for " + what);
+  }
   char* end = nullptr;
   errno = 0;
   const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
   if (end != text.c_str() + text.size() || text[0] == '-' || errno == ERANGE) {
     throw SpecError("cannot parse `" + text + "` as a non-negative 64-bit integer for " + what);
+  }
+  if (value > max) {
+    throw SpecError("`" + text + "` is out of range for " + what + " (at most " +
+                    std::to_string(max) + ")");
   }
   return static_cast<std::uint64_t>(value);
 }

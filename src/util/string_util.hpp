@@ -3,7 +3,10 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace photherm {
@@ -30,19 +33,30 @@ std::string join(const std::vector<std::string>& parts, const std::string& sep);
 /// Lower-cased copy (ASCII).
 std::string to_lower(std::string s);
 
+/// View of `s` with ASCII whitespace stripped from both ends (no copy).
+std::string_view trim_view(std::string_view s);
+
 /// Copy with ASCII whitespace stripped from both ends.
-std::string trim(const std::string& s);
+std::string trim(std::string_view s);
 
 /// Split on a delimiter character; empty fields are kept ("a,,b" gives
 /// three parts) and an empty input gives one empty part.
 std::vector<std::string> split(const std::string& s, char delim);
 
-/// Parse a floating-point number, requiring the whole (trimmed) string to
-/// be consumed; throws photherm::SpecError naming `what` otherwise.
+/// The whitespace-separated words of `s` (none for a blank string).
+std::vector<std::string> split_words(std::string_view s);
+
+/// The whole (trimmed) string as one number (any strtod spelling, "inf"
+/// and "nan" included), or nullopt.
+std::optional<double> parse_number(std::string_view s);
+
+/// parse_number, also requiring a finite value; throws photherm::SpecError
+/// naming `what` otherwise.
 double parse_double(const std::string& s, const std::string& what);
 
-/// Parse a non-negative integer the same way.
-std::uint64_t parse_uint(const std::string& s, const std::string& what);
+/// Parse a non-negative integer the same way, rejecting values above `max`.
+std::uint64_t parse_uint(const std::string& s, const std::string& what,
+                         std::uint64_t max = std::numeric_limits<std::uint64_t>::max());
 
 /// Parse "true"/"false"/"1"/"0" (case-insensitive).
 bool parse_bool(const std::string& s, const std::string& what);

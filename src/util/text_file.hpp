@@ -1,7 +1,14 @@
 /// \file text_file.hpp
-/// \brief Checked whole-file text I/O, and the line-oriented record format
-/// that scenario files (scenario/scenario.hpp) and timeline checkpoints
-/// (timeline/checkpoint.hpp) share.
+/// \brief Checked whole-file text I/O, the line walk every text input goes
+/// through, and the record format of scenario files (scenario/scenario.hpp)
+/// and timeline checkpoints (timeline/checkpoint.hpp).
+///
+/// Line walk (for_each_line): split at `\n`, drop a trailing `\r`, number
+/// lines from 1. It gives `#` no meaning: each reader (record files, the
+/// lint config, photherm_report's gate rules and metrics CSVs, photherm_cli
+/// diff) keeps its own comment and blank-line rules. Any photherm::Error a
+/// reader raises on a line surfaces as SpecError("<source>, line N: ..."),
+/// <source> naming the format and, for a file, its path.
 ///
 /// Record grammar:
 ///
@@ -11,18 +18,18 @@
 ///     key = value
 ///     key = value
 ///
-/// `#` starts a comment that runs to the end of the line; blank lines are
-/// skipped and every line is trimmed. A `<keyword> <name>` line opens a
-/// record and `key = value` lines fill it until the next one. Each format is
-/// declared once, as a RecordFormat: a table of {key, write, read} fields.
-/// The writer emits each field's values as `key = value` lines in table
-/// order (several lines for a repeated key, none for an absent one); the
-/// reader hands each line to its field's parser. Any error raised while
-/// reading surfaces as SpecError("<what> file, line N: <message>").
+/// `#` starts a comment that runs to the end of the line (strip_comment);
+/// blank lines are skipped and every line is trimmed. A `<keyword> <name>`
+/// line opens a record and `key = value` lines fill it until the next one.
+/// Each format is declared once, as a RecordFormat: a table of {key, write,
+/// read} fields. The writer emits each field's values as `key = value` lines
+/// in table order (several lines for a repeated key, none for an absent
+/// one); the reader hands each line to its field's parser.
 #pragma once
 
 #include <cstddef>
 #include <functional>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -43,14 +50,36 @@ std::string read_text_file(const std::string& path, const std::string& what);
 void write_text_file(const std::string& path, const std::string& payload,
                      const std::string& what);
 
-/// Stream `text` through the record grammar: `open(name)` for every
-/// `<keyword> <name>` line, `field(key, value)` for every `key = value`
-/// line of an open record. Grammar errors and every photherm::Error a
-/// callback throws surface as SpecError("<what> file, line N: ...").
-void scan_records(std::string_view text, const std::string& what, const std::string& keyword,
-                  const std::function<void(const std::string& name)>& open,
-                  const std::function<void(const std::string& key, const std::string& value)>&
-                      field);
+/// `message` located at line `line` of `source`: "<source>, line N: <message>".
+std::string line_message(const std::string& source, std::size_t line,
+                         const std::string& message);
+
+/// Call `on_line(line, number)` for every line of `text` (see the file
+/// comment); `line` views `text` and excludes the `\n` and a trailing `\r`.
+/// Every photherm::Error `on_line` throws is rethrown as
+/// SpecError(line_message(source, number, its message)).
+template <typename OnLine>
+void for_each_line(std::string_view text, const std::string& source, OnLine&& on_line) {
+  std::size_t number = 0;
+  while (!text.empty()) {
+    ++number;
+    const std::size_t eol = text.find('\n');
+    std::string_view line = text.substr(0, eol);
+    text.remove_prefix(eol == std::string_view::npos ? text.size() : eol + 1);
+    if (!line.empty() && line.back() == '\r') {
+      line.remove_suffix(1);
+    }
+    try {
+      on_line(line, number);
+    } catch (const Error& e) {
+      throw SpecError(line_message(source, number, e.what()));
+    }
+  }
+}
+
+/// `line` up to its first `#`, trimmed: the comment rule of the record
+/// files, the lint config and the gate rules.
+std::string_view strip_comment(std::string_view line);
 
 /// One key of a record format.
 template <typename Record>
@@ -88,7 +117,7 @@ struct RecordField {
               } else if constexpr (std::is_same_v<T, bool>) {
                 out = parse_bool(value, key);
               } else {
-                out = static_cast<T>(parse_uint(value, key));
+                out = static_cast<T>(parse_uint(value, key, std::numeric_limits<T>::max()));
               }
             }};
   }
@@ -97,7 +126,7 @@ struct RecordField {
 /// A line-oriented text format of named records (see the file comment).
 template <typename Record>
 struct RecordFormat {
-  std::string what;     ///< error prefix: "<what> file, line N"
+  std::string what;     ///< error source: "<what>, line N" ("scenario file")
   std::string keyword;  ///< opens a record: "<keyword> <name>"
   std::string title;    ///< header comment: "# photherm <title> (...)"
   std::vector<RecordField<Record>> fields;
@@ -129,22 +158,42 @@ struct RecordFormat {
     }
   }
 
-  /// Parse `text`; `open(name)` returns the record a `<keyword> <name>`
-  /// line starts, which the following `key = value` lines fill.
+  /// Parse `text`, read from the file at `path` (empty for in-memory text;
+  /// errors name it when set). `open(name)` returns the record a
+  /// `<keyword> <name>` line starts, which the following `key = value`
+  /// lines fill.
   template <typename Open>
-  void read(std::string_view text, Open&& open) const {
+  void read(std::string_view text, const std::string& path, Open&& open) const {
     Record* record = nullptr;
-    scan_records(
-        text, what, keyword, [&](const std::string& name) { record = &open(name); },
-        [&](const std::string& key, const std::string& value) {
-          for (const RecordField<Record>& f : fields) {
-            if (f.key == key) {
-              f.read(*record, value, key);
-              return;
-            }
-          }
-          throw SpecError("unknown key `" + key + "`; known keys: " + join(keys(), ", "));
-        });
+    const auto on_line = [&](std::string_view raw, std::size_t) {
+      const std::string_view line = strip_comment(raw);
+      if (line.empty()) {
+        return;
+      }
+      if (line.substr(0, keyword.size()) == keyword &&
+          (line.size() == keyword.size() || line[keyword.size()] == ' ' ||
+           line[keyword.size()] == '\t')) {
+        record = &open(trim(line.substr(keyword.size())));
+        return;
+      }
+      const std::size_t eq = line.find('=');
+      if (eq == std::string_view::npos) {
+        throw SpecError("expected `" + keyword + " <name>` or `key = value`, got `" +
+                        std::string(line) + "`");
+      }
+      if (record == nullptr) {
+        throw SpecError("`key = value` before any `" + keyword + " <name>` line");
+      }
+      const std::string key = trim(line.substr(0, eq));
+      for (const RecordField<Record>& f : fields) {
+        if (f.key == key) {
+          f.read(*record, trim(line.substr(eq + 1)), key);
+          return;
+        }
+      }
+      throw SpecError("unknown key `" + key + "`; known keys: " + join(keys(), ", "));
+    };
+    for_each_line(text, path.empty() ? what : what + " " + path, on_line);
   }
 };
 

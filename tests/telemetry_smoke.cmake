@@ -1,5 +1,6 @@
 # CTest smoke run of the telemetry plumbing, invoked as
-#   cmake -DPHOTHERM_CLI=... -DWORK_DIR=... -P telemetry_smoke.cmake
+#   cmake -DPHOTHERM_CLI=... -DBUILD_TYPE=... -DWORK_DIR=... -P telemetry_smoke.cmake
+# (BUILD_TYPE: the lower-cased CMAKE_BUILD_TYPE the manifests must carry)
 # Flow: play the builtin transient suite over a fixed horizon untraced,
 # then with --trace/--metrics at 1 and 4 threads — every scenario CSV must
 # be byte-identical (telemetry never perturbs physics). The trace must be
@@ -9,7 +10,7 @@
 # real hits, not just seeded zeros. A last leg checks that `--threads 1`
 # is the budget of the whole run even when PHOTHERM_THREADS is wider.
 
-foreach(var PHOTHERM_CLI WORK_DIR)
+foreach(var PHOTHERM_CLI BUILD_TYPE WORK_DIR)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "telemetry_smoke.cmake needs -D${var}=...")
   endif()
@@ -63,7 +64,7 @@ require_match(${WORK_DIR}/trace4.json
 # Both export formats must carry the run manifest: the CSV as a
 # `# key=value` comment block, the trace as a top-level "manifest" object.
 require_match(${WORK_DIR}/trace1.json "\"manifest\":{" "a trace manifest object")
-require_match(${WORK_DIR}/trace1.json "\"build_type\":\"(debug|release)\""
+require_match(${WORK_DIR}/trace1.json "\"build_type\":\"${BUILD_TYPE}\""
               "the build type in the trace manifest")
 require_match(${WORK_DIR}/trace1.json "\"git_sha\":" "the git sha in the trace manifest")
 require_match(${WORK_DIR}/trace4.json "\"threads\":\"4\"" "the runtime thread count")
@@ -75,7 +76,7 @@ require_match(${WORK_DIR}/trace4.json "\"threads\":\"4\"" "the runtime thread co
 foreach(metrics metrics1 metrics4)
   require_match(${WORK_DIR}/${metrics}.csv "# photherm-manifest v1"
                 "the manifest comment block")
-  require_match(${WORK_DIR}/${metrics}.csv "# build_type=(debug|release)"
+  require_match(${WORK_DIR}/${metrics}.csv "# build_type=${BUILD_TYPE}\n"
                 "the build type manifest entry")
   require_match(${WORK_DIR}/${metrics}.csv "# suite=builtin:transient"
                 "the suite manifest entry")

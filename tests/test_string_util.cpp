@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
+#include <vector>
+
+#include "util/error.hpp"
+
 namespace photherm {
 namespace {
 
@@ -32,6 +38,43 @@ TEST(StringUtil, Join) {
 
 TEST(StringUtil, ToLower) {
   EXPECT_EQ(to_lower("VCSEL MicroRing"), "vcsel microring");
+}
+
+TEST(StringUtil, TrimAndSplitWords) {
+  EXPECT_EQ(trim_view(" \t a b \r\n"), "a b");
+  EXPECT_EQ(trim_view(" \t\n"), "");
+  EXPECT_EQ(trim("  x "), "x");
+  EXPECT_EQ(split_words("  warn\t*.wall   0.5 \r"),
+            (std::vector<std::string>{"warn", "*.wall", "0.5"}));
+  EXPECT_TRUE(split_words(" \t ").empty());
+}
+
+TEST(StringUtil, NumbersParseAsWholeTokens) {
+  EXPECT_EQ(parse_number(" 2.5 "), 2.5);
+  EXPECT_EQ(parse_number("1e3"), 1000.0);
+  EXPECT_TRUE(std::isinf(*parse_number("inf")));
+  EXPECT_FALSE(parse_number("").has_value());
+  EXPECT_FALSE(parse_number("2.5x").has_value());
+  EXPECT_FALSE(parse_number("1 2").has_value());
+
+  EXPECT_EQ(parse_double(" -0.25", "x"), -0.25);
+  EXPECT_THROW(parse_double("inf", "x"), SpecError);
+  EXPECT_THROW(parse_double("1e999", "x"), SpecError);
+  try {
+    parse_double("  ", "t_ambient");
+    ADD_FAILURE() << "expected SpecError";
+  } catch (const SpecError& e) {
+    EXPECT_STREQ(e.what(), "empty value for t_ambient");
+  }
+
+  EXPECT_EQ(parse_uint("18446744073709551615", "seed"), 18446744073709551615u);
+  EXPECT_EQ(parse_uint("255", "n", 255), 255u);
+  try {
+    parse_uint("256", "n", 255);
+    ADD_FAILURE() << "expected SpecError";
+  } catch (const SpecError& e) {
+    EXPECT_STREQ(e.what(), "`256` is out of range for n (at most 255)");
+  }
 }
 
 }  // namespace

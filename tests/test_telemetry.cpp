@@ -381,7 +381,7 @@ TEST_F(TelemetryTest, ManifestRoundTripsThroughBothExports) {
   for (const auto& [key, value] : manifest()) {
     if (key == "build_type") {
       saw_build_type = true;
-      EXPECT_TRUE(value == "debug" || value == "release") << value;
+      EXPECT_EQ(value, PHOTHERM_EXPECTED_BUILD_TYPE);
     }
   }
   EXPECT_TRUE(saw_build_type);

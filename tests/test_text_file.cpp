@@ -1,14 +1,14 @@
-/// The shared record format (util/text_file.hpp) through its two users:
-/// scenario files and timeline checkpoints. Byte-exact text round trips,
-/// file/line/key context on every parse error, checked file I/O, and a
-/// deterministic mutation pass (truncation, byte flips, dropped and
-/// duplicated lines, hostile numeric tokens) asserting that every variant
-/// parses or throws photherm::Error — never another exception, never UB
-/// (the sanitizer builds run this suite).
+/// The shared line walk and record format (util/text_file.hpp) through
+/// the record format's two users: scenario files and timeline checkpoints.
+/// Byte-exact text round trips, file/line/key context on every parse error,
+/// checked file I/O, and the deterministic mutation pass of
+/// support/mutation.hpp (truncation, byte flips, dropped and duplicated
+/// lines, hostile numeric tokens) asserting that every variant parses or
+/// throws photherm::Error — never another exception, never UB (the
+/// sanitizer builds run this suite). The tools' text inputs get the same
+/// pass in test_tool_inputs.cpp.
 #include <gtest/gtest.h>
 
-#include <array>
-#include <cstdint>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -16,15 +16,17 @@
 #include "scenario/registry.hpp"
 #include "scenario/scenario.hpp"
 #include "support/fixtures.hpp"
+#include "support/mutation.hpp"
 #include "timeline/checkpoint.hpp"
 #include "timeline/playback.hpp"
 #include "util/error.hpp"
-#include "util/rng.hpp"
 #include "util/text_file.hpp"
 
 namespace photherm {
 namespace {
 
+using mutation::expect_parses_or_throws_error;
+using mutation::mutants;
 using scenario::ScenarioSpec;
 
 std::string corners_text() {
@@ -69,124 +71,6 @@ std::string grown_checkpoint_text() {
   return timeline::serialize_checkpoints({playback.checkpoint()});
 }
 
-std::vector<std::string> lines_of(const std::string& text) {
-  std::vector<std::string> lines = split(text, '\n');
-  lines.pop_back();  // the text ends in '\n'
-  return lines;
-}
-
-std::string join_lines(const std::vector<std::string>& lines) {
-  std::string text;
-  for (const std::string& line : lines) {
-    text += line + "\n";
-  }
-  return text;
-}
-
-/// [begin, end) of every numeric token in the value part of `line`.
-std::vector<std::pair<std::size_t, std::size_t>> numeric_tokens(const std::string& line) {
-  std::vector<std::pair<std::size_t, std::size_t>> tokens;
-  const std::size_t eq = line.find('=');
-  if (eq == std::string::npos) {
-    return tokens;
-  }
-  const std::string numeric_chars = "0123456789.eE+-";
-  std::size_t i = eq + 1;
-  while (i < line.size()) {
-    if (numeric_chars.find(line[i]) == std::string::npos) {
-      ++i;
-      continue;
-    }
-    std::size_t j = i;
-    bool digit = false;
-    while (j < line.size() && numeric_chars.find(line[j]) != std::string::npos) {
-      digit = digit || (line[j] >= '0' && line[j] <= '9');
-      ++j;
-    }
-    if (digit) {
-      tokens.emplace_back(i, j);
-    }
-    i = j;
-  }
-  return tokens;
-}
-
-constexpr std::array<const char*, 5> kHostileNumbers = {"-1", "1e300", "2.5", "0",
-                                                         "18446744073709551616"};
-
-/// Deterministic variants of `text`: every numeric key's first token swapped
-/// for each hostile number, then `random_count` seeded random mutations
-/// cycling through truncate / flip a byte / drop a line / duplicate a line /
-/// swap a random numeric token.
-std::vector<std::string> mutants(const std::string& text, std::uint64_t seed,
-                                 int random_count) {
-  const std::vector<std::string> lines = lines_of(text);
-  std::vector<std::string> out;
-  for (std::size_t l = 0; l < lines.size(); ++l) {
-    const auto tokens = numeric_tokens(lines[l]);
-    if (tokens.empty()) {
-      continue;
-    }
-    for (const char* number : kHostileNumbers) {
-      std::vector<std::string> mutated = lines;
-      mutated[l].replace(tokens[0].first, tokens[0].second - tokens[0].first, number);
-      out.push_back(join_lines(mutated));
-    }
-  }
-
-  Rng rng(seed);
-  const auto pick = [&](std::size_t n) {
-    return static_cast<std::size_t>(rng.uniform_int(0, static_cast<int>(n) - 1));
-  };
-  for (int k = 0; k < random_count; ++k) {
-    std::vector<std::string> mutated = lines;
-    const std::size_t l = pick(lines.size());
-    switch (k % 5) {
-      case 0:
-        out.push_back(text.substr(0, pick(text.size())));
-        continue;
-      case 1: {
-        std::string flipped = text;
-        flipped[pick(text.size())] ^= static_cast<char>(rng.uniform_int(1, 255));
-        out.push_back(flipped);
-        continue;
-      }
-      case 2:
-        mutated.erase(mutated.begin() + static_cast<std::ptrdiff_t>(l));
-        break;
-      case 3:
-        mutated.insert(mutated.begin() + static_cast<std::ptrdiff_t>(l), lines[l]);
-        break;
-      default: {
-        const auto tokens = numeric_tokens(lines[l]);
-        if (tokens.empty()) {
-          continue;
-        }
-        const auto& token = tokens[pick(tokens.size())];
-        mutated[l].replace(token.first, token.second - token.first,
-                           kHostileNumbers[pick(kHostileNumbers.size())]);
-        break;
-      }
-    }
-    out.push_back(join_lines(mutated));
-  }
-  return out;
-}
-
-/// Parse every variant; anything but success or photherm::Error fails.
-template <typename Parse>
-void expect_parses_or_throws_error(const std::vector<std::string>& variants, Parse parse) {
-  for (std::size_t v = 0; v < variants.size(); ++v) {
-    try {
-      parse(variants[v]);
-    } catch (const Error&) {
-      // Rejected with a library error: the contract.
-    } catch (const std::exception& e) {
-      ADD_FAILURE() << "variant " << v << " threw a non-photherm exception: " << e.what();
-    }
-  }
-}
-
 TEST(RecordFormat, SerializeOfParseIsByteExact) {
   const std::string corners = corners_text();
   EXPECT_EQ(scenario::serialize_scenarios(scenario::parse_scenarios(corners)), corners);
@@ -220,6 +104,47 @@ TEST(RecordFormat, ErrorsNameTheFileTheLineAndTheKey) {
   expect_error(checkpoints, "playback a\nstats = 1 2 3\n", "checkpoint file, line 2", "stats");
   expect_error(checkpoints, "playback a\nbogus = 1\n", "checkpoint file, line 2", "bogus");
   expect_error(checkpoints, "base_dt = 1\n", "checkpoint file, line 1", "playback <name>");
+  // CRLF line ends read like LF ones; a missing value is a plain error.
+  expect_error(scenarios, "scenario a\r\n\r\nt_ambient = hot\r\n", "scenario file, line 3",
+               "t_ambient");
+  expect_error(scenarios, "scenario a\nt_ambient =\n", "scenario file, line 2",
+               "empty value for t_ambient");
+
+  // A file's errors name its path.
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "photherm_bad_scenarios.txt").string();
+  write_text_file(path, "# header\nscenario a\nh_top = -\n", "test file");
+  expect_error([](const std::string& p) { return scenario::load_scenario_file(p); }, path,
+               "scenario file " + path + ", line 3", "h_top");
+  std::filesystem::remove(path);
+}
+
+TEST(RecordFormat, IntegralFieldsRejectValuesTheirTypeCannotHold) {
+  // ring_case is an int: the largest int keeps its value; 2^31 and 2^32 + 1
+  // (which a 32-bit cast wraps to ring case 1) are rejected, naming the key.
+  const auto ring_case = [](const std::string& value) {
+    return scenario::parse_scenarios("scenario a\nring_case = " + value + "\n")
+        .at(0)
+        .design.ring_case_id;
+  };
+  EXPECT_EQ(ring_case("3"), 3);
+  EXPECT_EQ(ring_case("2147483647"), 2147483647);
+  for (const std::string value : {"2147483648", "4294967297"}) {
+    try {
+      ring_case(value);
+      ADD_FAILURE() << "expected SpecError for ring_case = " << value;
+    } catch (const SpecError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("scenario file, line 2: `" + value + "` is out of range for ring_case"),
+                std::string::npos)
+          << what;
+    }
+  }
+  // A 64-bit field holds every value the integer parser accepts.
+  EXPECT_EQ(scenario::parse_scenarios("scenario a\nseed = 18446744073709551615\n")
+                .at(0)
+                .design.seed,
+            18446744073709551615u);
 }
 
 TEST(RecordFormat, MutationsParseOrThrowError) {

@@ -4,7 +4,6 @@
 #include "lint/config.hpp"
 
 #include <algorithm>
-#include <sstream>
 
 #include "util/error.hpp"
 #include "util/text_file.hpp"
@@ -13,57 +12,48 @@ namespace photherm::lint {
 
 namespace {
 
-using photherm::Error;
+/// Direct dependencies of one `layer` line, and that line's number.
+struct LayerLine {
+  std::vector<std::string> deps;
+  std::size_t line = 0;
+};
 
 /// Expand direct layer dependencies into their transitive closure, failing
 /// on unknown names and cycles (a layer DAG must be acyclic to mean
-/// anything).
+/// anything). Errors name the `layer` line that lists the bad dependency.
 std::map<std::string, std::set<std::string>> close_layers(
-    const std::map<std::string, std::vector<std::string>>& direct, const std::string& context) {
+    const std::map<std::string, LayerLine>& direct, const std::string& source) {
   std::map<std::string, std::set<std::string>> closed;
-  enum class Mark { kUnvisited, kInProgress, kDone };
-  std::map<std::string, Mark> marks;
-
-  struct Closer {
-    const std::map<std::string, std::vector<std::string>>& direct;
-    const std::string& context;
-    std::map<std::string, std::set<std::string>>& closed;
-    std::map<std::string, Mark>& marks;
-
-    const std::set<std::string>& visit(const std::string& name) {
-      if (marks[name] == Mark::kDone) {
-        return closed[name];
-      }
-      if (marks[name] == Mark::kInProgress) {
-        throw Error(context + ": layer dependency cycle through `" + name + "`");
-      }
-      marks[name] = Mark::kInProgress;
-      std::set<std::string>& out = closed[name];
-      out.insert(name);
-      for (const std::string& dep : direct.at(name)) {
-        if (dep == "*") {
-          out = {"*"};
-          break;
-        }
-        if (direct.find(dep) == direct.end()) {
-          throw Error(context + ": layer `" + name + "` depends on undeclared layer `" + dep +
-                      "`");
-        }
-        const std::set<std::string>& sub = visit(dep);
-        if (sub.count("*") != 0) {
-          out = {"*"};
-          break;
-        }
-        out.insert(sub.begin(), sub.end());
-      }
-      marks[name] = Mark::kDone;
-      return closed[name];
+  std::set<std::string> on_path;  ///< layers whose closure is being computed
+  const auto visit = [&](const auto& self,
+                         const std::string& name) -> const std::set<std::string>& {
+    if (const auto done = closed.find(name); done != closed.end()) {
+      return done->second;
     }
-  } closer{direct, context, closed, marks};
-
-  for (const auto& [name, deps] : direct) {
-    (void)deps;
-    closer.visit(name);
+    on_path.insert(name);
+    const LayerLine& layer = direct.at(name);
+    std::set<std::string> out = {name};
+    for (const std::string& dep : layer.deps) {
+      if (dep != "*" && direct.count(dep) == 0) {
+        throw SpecError(line_message(
+            source, layer.line,
+            "layer `" + name + "` depends on undeclared layer `" + dep + "`"));
+      }
+      if (on_path.count(dep) != 0) {
+        throw SpecError(
+            line_message(source, layer.line, "layer dependency cycle through `" + dep + "`"));
+      }
+      if (dep == "*" || self(self, dep).count("*") != 0) {
+        out = {"*"};
+        break;
+      }
+      out.insert(closed.at(dep).begin(), closed.at(dep).end());
+    }
+    on_path.erase(name);
+    return closed[name] = std::move(out);
+  };
+  for (const auto& entry : direct) {
+    visit(visit, entry.first);
   }
   return closed;
 }
@@ -90,72 +80,57 @@ bool suffix_match(const std::string& path, const std::string& suffix) {
 }
 
 Config load_config(const std::string& path, const std::set<std::string>& known_rules) {
-  std::istringstream in(read_text_file(path, "lint config"));
+  const std::string source = "lint config " + path;
   Config config;
-  std::map<std::string, std::vector<std::string>> direct_layers;
-  std::string raw;
-  int line_number = 0;
-  while (std::getline(in, raw)) {
-    ++line_number;
-    const std::string line = raw.substr(0, raw.find('#'));
-    std::stringstream fields(line);
-    std::string kind;
-    if (!(fields >> kind)) {
-      continue;  // blank or comment-only
+  std::map<std::string, LayerLine> direct_layers;
+  std::vector<std::size_t> module_lines;
+  const auto on_line = [&](std::string_view raw, std::size_t line) {
+    const std::vector<std::string> words = split_words(strip_comment(raw));
+    if (words.empty()) {
+      return;
     }
-    const auto context = [&] { return path + ":" + std::to_string(line_number); };
+    const std::string& kind = words[0];
+    const auto need = [&](std::size_t count, const std::string& what) {
+      if (words.size() < count + 1) {
+        throw SpecError("`" + kind + "` needs " + what);
+      }
+    };
     if (kind == "serialized") {
-      std::string suffix;
-      if (!(fields >> suffix)) {
-        throw Error(context() + ": `serialized` needs a path suffix");
-      }
-      config.serialized.push_back(normalize(suffix));
+      need(1, "a path suffix");
+      config.serialized.push_back(normalize(words[1]));
     } else if (kind == "allow") {
-      std::string rule, suffix;
-      if (!(fields >> rule >> suffix)) {
-        throw Error(context() + ": `allow` needs a rule name and a path suffix");
+      need(2, "a rule name and a path suffix");
+      if (known_rules.count(words[1]) == 0) {
+        throw SpecError("unknown rule `" + words[1] + "`");
       }
-      if (known_rules.count(rule) == 0) {
-        throw Error(context() + ": unknown rule `" + rule + "`");
-      }
-      config.allows[rule].push_back(normalize(suffix));
+      config.allows[words[1]].push_back(normalize(words[2]));
     } else if (kind == "layer") {
-      std::string name;
-      if (!(fields >> name)) {
-        throw Error(context() + ": `layer` needs a module name");
+      need(1, "a module name");
+      if (direct_layers.count(words[1]) != 0) {
+        throw SpecError("layer `" + words[1] + "` declared twice");
       }
-      if (direct_layers.count(name) != 0) {
-        throw Error(context() + ": layer `" + name + "` declared twice");
-      }
-      std::vector<std::string>& deps = direct_layers[name];
-      std::string dep;
-      while (fields >> dep) {
-        deps.push_back(dep);
-      }
+      direct_layers[words[1]] = {{words.begin() + 2, words.end()}, line};
     } else if (kind == "module") {
-      std::string layer, suffix;
-      if (!(fields >> layer >> suffix)) {
-        throw Error(context() + ": `module` needs a layer name and a path suffix");
-      }
-      config.modules.emplace_back(layer, normalize(suffix));
+      need(2, "a layer name and a path suffix");
+      config.modules.emplace_back(words[1], normalize(words[2]));
+      module_lines.push_back(line);
     } else if (kind == "telemetry_catalog") {
-      std::string suffix;
-      if (!(fields >> suffix)) {
-        throw Error(context() + ": `telemetry_catalog` needs a path suffix");
-      }
-      config.telemetry_catalogs.push_back(normalize(suffix));
+      need(1, "a path suffix");
+      config.telemetry_catalogs.push_back(normalize(words[1]));
     } else {
-      throw Error(context() + ": unknown directive `" + kind +
-                  "` (expected `serialized`, `allow`, `layer`, `module`, or "
-                  "`telemetry_catalog`)");
+      throw SpecError("unknown directive `" + kind +
+                      "` (expected `serialized`, `allow`, `layer`, `module`, or "
+                      "`telemetry_catalog`)");
     }
-  }
-  config.layers = close_layers(direct_layers, path);
+  };
+  for_each_line(read_text_file(path, "lint config"), source, on_line);
+  config.layers = close_layers(direct_layers, source);
   // A `module` assignment to an undeclared layer is a config typo.
-  for (const auto& [layer, suffix] : config.modules) {
-    (void)suffix;
+  for (std::size_t i = 0; i < config.modules.size(); ++i) {
+    const std::string& layer = config.modules[i].first;
     if (config.layers.count(layer) == 0) {
-      throw Error(path + ": `module " + layer + " ...` names an undeclared layer");
+      throw SpecError(line_message(source, module_lines[i],
+                                   "`module " + layer + " ...` names an undeclared layer"));
     }
   }
   return config;

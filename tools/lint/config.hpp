@@ -3,7 +3,8 @@
 /// allowlists, the module layer DAG, fixture module assignments, and the
 /// telemetry-catalog file list.
 ///
-/// Directive grammar (one per line, `#` comments):
+/// Directive grammar (one per line through util/text_file's line walk,
+/// `#` comments, whitespace-separated words):
 ///   serialized <path-suffix>          file writes a persisted text format
 ///   allow <rule> <path-suffix>        whole-file allowlist entry
 ///   layer <name> [<dep>... | *]       module <name> may directly include
@@ -46,8 +47,9 @@ std::string normalize(std::string path);
 bool suffix_match(const std::string& path, const std::string& suffix);
 
 /// Parse the config at `path`. `known_rules` validates `allow` lines.
-/// Throws photherm::Error with file:line context on any malformed or
-/// unknown directive, unknown layer dependency, or dependency cycle.
+/// Throws SpecError("lint config <path>, line N: ...") on any malformed or
+/// unknown directive, unknown layer dependency, dependency cycle, or
+/// `module` naming an undeclared layer.
 Config load_config(const std::string& path, const std::set<std::string>& known_rules);
 
 }  // namespace photherm::lint

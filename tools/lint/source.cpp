@@ -5,7 +5,6 @@
 
 #include <cctype>
 #include <regex>
-#include <sstream>
 
 #include "util/error.hpp"
 #include "util/text_file.hpp"
@@ -45,13 +44,9 @@ std::set<std::string> parse_inline_allows(const std::string& raw) {
   std::set<std::string> rules;
   std::smatch m;
   if (std::regex_search(raw, m, marker)) {
-    std::stringstream list(m[1].str());
-    std::string rule;
-    while (std::getline(list, rule, ',')) {
-      const auto begin = rule.find_first_not_of(" \t");
-      const auto end = rule.find_last_not_of(" \t");
-      if (begin != std::string::npos) {
-        rules.insert(rule.substr(begin, end - begin + 1));
+    for (const std::string& rule : split(m[1].str(), ',')) {
+      if (!trim_view(rule).empty()) {
+        rules.insert(trim(rule));
       }
     }
   }

@@ -36,7 +36,6 @@
 ///       Exits 1 on mismatch — the golden-file check of the CTest smoke run.
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <functional>
 #include <iostream>
 #include <optional>
@@ -391,30 +390,11 @@ int cmd_play(const std::vector<std::string>& args) {
   return 0;
 }
 
-/// True when the whole cell parses as a number.
-std::optional<double> as_number(const std::string& cell) {
-  const std::string text = trim(cell);
-  if (text.empty()) {
-    return std::nullopt;
-  }
-  char* end = nullptr;
-  const double value = std::strtod(text.c_str(), &end);
-  if (end != text.c_str() + text.size()) {
-    return std::nullopt;
-  }
-  return value;
-}
-
+/// Every line of the CSV at `path`, blank ones included.
 std::vector<std::string> read_lines(const std::string& path) {
-  std::istringstream in(read_text_file(path, "CSV file"));
   std::vector<std::string> lines;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (!line.empty() && line.back() == '\r') {
-      line.pop_back();
-    }
-    lines.push_back(line);
-  }
+  for_each_line(read_text_file(path, "CSV file"), "CSV file " + path,
+                [&](std::string_view line, std::size_t) { lines.emplace_back(line); });
   return lines;
 }
 
@@ -446,8 +426,8 @@ int cmd_diff(const std::vector<std::string>& args) {
       return 1;
     }
     for (std::size_t col = 0; col < cells_a.size(); ++col) {
-      const auto na = as_number(cells_a[col]);
-      const auto nb = as_number(cells_b[col]);
+      const auto na = parse_number(cells_a[col]);
+      const auto nb = parse_number(cells_b[col]);
       bool ok;
       // NaN cells fall through to the text comparison (NaN != NaN would
       // make a file mismatch a byte-identical copy of itself).

@@ -30,8 +30,11 @@
 ///   warn  *.wall 0.5        # relative tolerance, violations warn only
 ///   ignore solver.*.relative_residual
 ///
-/// Values matched by no rule are informational (shown, never gated).
+/// Values matched by no rule are informational (shown, never gated). Rules
+/// files and metrics CSVs go through the shared line walk
+/// (util/text_file.hpp), so errors read "gate rules file <path>, line N: ...".
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 #include <iostream>
@@ -72,6 +75,9 @@ int usage(std::ostream& os, int exit_code) {
 // own trace exports and Google-Benchmark output). Members keep insertion
 // order; numbers parse via strtod so format_shortest values round-trip to
 // identical doubles.
+
+/// Deepest value nesting the parser accepts (the top-level value is 1).
+constexpr int kMaxJsonDepth = 256;
 
 struct JsonValue {
   enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
@@ -121,13 +127,7 @@ class JsonParser {
     }
   }
 
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' || text_[pos_] == '\n' ||
-            text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
+  void skip_ws() { pos_ = std::min(text_.find_first_not_of(" \t\n\r", pos_), text_.size()); }
 
   char peek() {
     require(pos_ < text_.size(), "unexpected end of input");
@@ -186,22 +186,12 @@ class JsonParser {
           out.push_back('\t');
           break;
         case 'u': {
-          require(pos_ + 4 <= text_.size(), "truncated \\u escape");
+          const char* digits = text_.c_str() + pos_;
+          const std::size_t available = std::min<std::size_t>(4, text_.size() - pos_);
           unsigned code = 0;
-          for (int k = 0; k < 4; ++k) {
-            const char hex = text_[pos_++];
-            unsigned digit = 0;
-            if (hex >= '0' && hex <= '9') {
-              digit = static_cast<unsigned>(hex - '0');
-            } else if (hex >= 'a' && hex <= 'f') {
-              digit = static_cast<unsigned>(hex - 'a') + 10;
-            } else if (hex >= 'A' && hex <= 'F') {
-              digit = static_cast<unsigned>(hex - 'A') + 10;
-            } else {
-              require(false, "invalid \\u escape digit");
-            }
-            code = code * 16 + digit;
-          }
+          const auto [end, ec] = std::from_chars(digits, digits + available, code, 16);
+          require(ec == std::errc() && end == digits + 4, "\\u needs four hex digits");
+          pos_ += 4;
           // This tool only needs ASCII fidelity (its inputs escape control
           // characters); anything beyond is preserved as a placeholder.
           out.push_back(code < 0x80 ? static_cast<char>(code) : '?');
@@ -214,6 +204,16 @@ class JsonParser {
   }
 
   JsonValue parse_value() {
+    // Recursion depth is bounded so a hostile file cannot overflow the
+    // stack; the artifacts themselves nest about four levels.
+    struct Level {
+      int& depth;
+      ~Level() { --depth; }
+    } level{++depth_};
+    if (depth_ > kMaxJsonDepth) {
+      // ph-lint: allow(serialization) integral bound in an error message
+      require(false, "nesting deeper than " + std::to_string(kMaxJsonDepth) + " levels");
+    }
     skip_ws();
     const char ch = peek();
     JsonValue value;
@@ -288,6 +288,7 @@ class JsonParser {
   const std::string& text_;
   std::string context_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  ///< values being parsed around pos_
 };
 
 // --- artifact loading ------------------------------------------------------
@@ -327,22 +328,16 @@ struct Artifact {
   JsonValue json;                            ///< bench/trace only
 };
 
-double parse_cell_number(const std::string& cell, const std::string& context) {
-  const std::string text = trim(cell);
-  char* end = nullptr;
-  const double value = std::strtod(text.c_str(), &end);
-  PH_REQUIRE(!text.empty() && end == text.c_str() + text.size(),
-             context + ": expected a number, got `" + cell + "`");
-  return value;
-}
-
 void load_metrics_csv(Artifact& artifact, const std::string& content) {
   artifact.type = ArtifactType::kMetrics;
+  const std::string source = "metrics CSV " + artifact.path;
   std::map<std::string, std::size_t> columns;
-  for (const std::string& raw_line : split(content, '\n')) {
-    const std::string line = trim(raw_line);
+  std::size_t line_count = 0;
+  const auto on_line = [&](std::string_view raw, std::size_t number) {
+    line_count = number;
+    const std::string line = trim(raw);
     if (line.empty()) {
-      continue;
+      return;
     }
     if (line[0] == '#') {
       // Manifest comment block: `# key=value` (the `# photherm-manifest v1`
@@ -351,27 +346,36 @@ void load_metrics_csv(Artifact& artifact, const std::string& content) {
       if (eq != std::string::npos) {
         artifact.manifest[trim(line.substr(1, eq - 1))] = trim(line.substr(eq + 1));
       }
-      continue;
+      return;
     }
     const std::vector<std::string> cells = split(line, ',');
     if (columns.empty()) {
-      PH_REQUIRE(!cells.empty() && cells[0] == "metric",
-                 artifact.path + ": not a photherm metrics CSV (header must start "
-                                 "with `metric`)");
+      if (cells[0] != "metric") {
+        throw SpecError("not a photherm metrics CSV (header must start with `metric`)");
+      }
       for (std::size_t i = 0; i < cells.size(); ++i) {
         columns[cells[i]] = i;
       }
-      continue;
+      return;
     }
     const auto cell_text = [&](const char* column) -> std::string {
       const auto it = columns.find(column);
       return it != columns.end() && it->second < cells.size() ? cells[it->second]
                                                               : std::string();
     };
+    const auto cell_number = [&](const char* column) {
+      const std::string text = cell_text(column);
+      const std::optional<double> value = parse_number(text);
+      if (!value) {
+        throw SpecError("`" + std::string(column) + "` of `" + cells[0] +
+                        "` is not a number: `" + text + "`");
+      }
+      return *value;
+    };
     MetricRow row;
     row.kind = cell_text("kind");
-    row.count = parse_cell_number(cell_text("count"), artifact.path + ": " + cells[0]);
-    row.total = parse_cell_number(cell_text("total"), artifact.path + ": " + cells[0]);
+    row.count = cell_number("count");
+    row.total = cell_number("total");
     row.min = cell_text("min");
     row.max = cell_text("max");
     row.p50 = cell_text("p50");
@@ -379,8 +383,12 @@ void load_metrics_csv(Artifact& artifact, const std::string& content) {
     row.p99 = cell_text("p99");
     artifact.values[cells[0]] = row.total;
     artifact.metrics[cells[0]] = std::move(row);
+  };
+  for_each_line(content, source, on_line);
+  if (columns.empty()) {
+    throw SpecError(
+        line_message(source, line_count + 1, "end of file before the `metric` header"));
   }
-  PH_REQUIRE(!columns.empty(), artifact.path + ": no metrics header found");
 }
 
 void load_bench_json(Artifact& artifact) {
@@ -409,24 +417,23 @@ void load_bench_json(Artifact& artifact) {
     }
   }
   const JsonValue* benchmarks = artifact.json.find("benchmarks");
-  PH_REQUIRE(benchmarks != nullptr && benchmarks->kind == JsonValue::Kind::kArray,
-             artifact.path + ": bench JSON has no `benchmarks` array");
+  if (benchmarks == nullptr || benchmarks->kind != JsonValue::Kind::kArray) {
+    throw Error(artifact.path + ": bench JSON has no `benchmarks` array");
+  }
   // Structural gbench fields that describe the run layout rather than a
   // measurement; diffing them would only report that the file format grew.
   const std::vector<std::string> skip = {"family_index", "per_family_instance_index",
                                          "repetitions", "repetition_index", "threads"};
   for (const JsonValue& bench : benchmarks->items) {
     const std::string name = bench.text_or("name", "");
-    PH_REQUIRE(!name.empty(), artifact.path + ": benchmark entry without a name");
+    if (name.empty()) {
+      throw Error(artifact.path + ": benchmark entry without a name");
+    }
     for (const auto& [key, value] : bench.members) {
       if (value.kind != JsonValue::Kind::kNumber) {
         continue;
       }
-      bool skipped = false;
-      for (const std::string& s : skip) {
-        skipped = skipped || key == s;
-      }
-      if (!skipped) {
+      if (std::find(skip.begin(), skip.end(), key) == skip.end()) {
         artifact.values[name + "/" + key] = value.number;
       }
     }
@@ -437,13 +444,7 @@ Artifact load_artifact(const std::string& path) {
   Artifact artifact;
   artifact.path = path;
   const std::string content = read_text_file(path, "artifact");
-  std::size_t first = 0;
-  while (first < content.size() &&
-         (content[first] == ' ' || content[first] == '\n' || content[first] == '\r' ||
-          content[first] == '\t')) {
-    ++first;
-  }
-  if (first < content.size() && content[first] == '{') {
+  if (trim_view(content).substr(0, 1) == "{") {
     artifact.json = JsonParser(content, path).parse();
     if (artifact.json.find("traceEvents") != nullptr) {
       artifact.type = ArtifactType::kTrace;
@@ -502,44 +503,39 @@ bool glob_match(const std::string& pattern, const std::string& text) {
 }
 
 std::vector<GateRule> load_gate_rules(const std::string& path) {
-  std::istringstream in(read_text_file(path, "gate rules file"));
   std::vector<GateRule> rules;
-  std::string raw;
-  std::size_t line_no = 0;
-  while (std::getline(in, raw)) {
-    ++line_no;
-    const std::size_t hash = raw.find('#');
-    const std::string line = trim(hash == std::string::npos ? raw : raw.substr(0, hash));
-    if (line.empty()) {
-      continue;
+  const auto on_line = [&](std::string_view raw, std::size_t) {
+    const std::vector<std::string> words = split_words(strip_comment(raw));
+    if (words.empty()) {
+      return;
     }
-    std::istringstream tokens(line);
-    std::string action;
+    if (words.size() < 2) {
+      throw SpecError("rule needs `<action> <glob>`");
+    }
+    const std::string& action = words[0];
     GateRule rule;
-    tokens >> action >> rule.glob;
-    std::ostringstream context;
-    context << path << ":" << line_no;
-    PH_REQUIRE(!rule.glob.empty(), context.str() + ": rule needs `<action> <glob>`");
+    rule.glob = words[1];
+    std::size_t used = 2;
     if (action == "exact") {
       rule.action = GateRule::Action::kExact;
     } else if (action == "fail" || action == "warn") {
       rule.action = action == "fail" ? GateRule::Action::kFail : GateRule::Action::kWarn;
-      std::string tol;
-      tokens >> tol;
-      PH_REQUIRE(!tol.empty(), context.str() + ": `" + action +
-                                   "` needs a relative tolerance (e.g. `warn *.wall 0.5`)");
-      rule.tolerance = parse_double(tol, context.str());
+      if (words.size() < 3) {
+        throw SpecError("`" + action + "` needs a relative tolerance (e.g. `warn *.wall 0.5`)");
+      }
+      rule.tolerance = parse_double(words[2], "the tolerance");
+      used = 3;
     } else if (action == "ignore") {
       rule.action = GateRule::Action::kIgnore;
     } else {
-      PH_REQUIRE(false, context.str() + ": unknown action `" + action +
-                            "` (expected exact|fail|warn|ignore)");
+      throw SpecError("unknown action `" + action + "` (expected exact|fail|warn|ignore)");
     }
-    std::string excess;
-    tokens >> excess;
-    PH_REQUIRE(excess.empty(), context.str() + ": trailing tokens after the rule");
+    if (words.size() > used) {
+      throw SpecError("trailing tokens after the rule");
+    }
     rules.push_back(std::move(rule));
-  }
+  };
+  for_each_line(read_text_file(path, "gate rules file"), "gate rules file " + path, on_line);
   return rules;
 }
 
@@ -569,12 +565,15 @@ int cmd_diff(const std::vector<std::string>& args) {
 
   const Artifact base = load_artifact(paths[0]);
   const Artifact cand = load_artifact(paths[1]);
-  PH_REQUIRE(base.type != ArtifactType::kTrace && cand.type != ArtifactType::kTrace,
-             "diff compares metrics CSVs or bench JSONs; trace spans carry no "
-             "stable scalars (use `summarize` on traces)");
-  PH_REQUIRE(base.type == cand.type,
-             std::string("cannot diff a ") + artifact_type_name(base.type) +
-                 " against a " + artifact_type_name(cand.type));
+  if (base.type == ArtifactType::kTrace || cand.type == ArtifactType::kTrace) {
+    throw Error(
+        "diff compares metrics CSVs or bench JSONs; trace spans carry no stable scalars "
+        "(use `summarize` on traces)");
+  }
+  if (base.type != cand.type) {
+    throw Error(std::string("cannot diff a ") + artifact_type_name(base.type) + " against a " +
+                artifact_type_name(cand.type));
+  }
 
   // A debug-vs-release comparison is never a perf signal — refuse instead
   // of producing a plausible-looking table (exit 2, distinct from the
@@ -670,19 +669,12 @@ int cmd_diff(const std::vector<std::string>& args) {
       annotations.push_back(os.str());
     } else if (action == GateRule::Action::kFail || action == GateRule::Action::kWarn) {
       const bool violated = !has_rel || std::abs(rel) > rule->tolerance;
-      if (violated && action == GateRule::Action::kFail) {
-        verdict = "REGRESS";
-        ++regressions;
+      if (violated) {
+        const bool fail = action == GateRule::Action::kFail;
+        verdict = fail ? "REGRESS" : "warn";
+        ++(fail ? regressions : warnings);
         std::ostringstream os;
-        os << "::error::photherm_report: `" << key << "` drifted "
-           << format_shortest(rel * 100.0) << "% (> " << format_shortest(rule->tolerance * 100.0)
-           << "% tolerance): " << format_shortest(b) << " -> " << format_shortest(c);
-        annotations.push_back(os.str());
-      } else if (violated) {
-        verdict = "warn";
-        ++warnings;
-        std::ostringstream os;
-        os << "::warning::photherm_report: `" << key << "` drifted "
+        os << (fail ? "::error::" : "::warning::") << "photherm_report: `" << key << "` drifted "
            << format_shortest(rel * 100.0) << "% (> " << format_shortest(rule->tolerance * 100.0)
            << "% tolerance): " << format_shortest(b) << " -> " << format_shortest(c);
         annotations.push_back(os.str());
@@ -788,8 +780,9 @@ void summarize_metrics(const Artifact& artifact, std::size_t top) {
 void summarize_trace(const Artifact& artifact, std::size_t top) {
   print_manifest(artifact.manifest);
   const JsonValue* events = artifact.json.find("traceEvents");
-  PH_REQUIRE(events != nullptr && events->kind == JsonValue::Kind::kArray,
-             artifact.path + ": trace has no traceEvents array");
+  if (events == nullptr || events->kind != JsonValue::Kind::kArray) {
+    throw Error(artifact.path + ": trace has no traceEvents array");
+  }
 
   struct SpanStats {
     double count = 0.0;
@@ -926,9 +919,10 @@ int cmd_convergence(const std::vector<std::string>& args) {
   }
   PH_REQUIRE(path, "convergence needs a trace.json path");
   const Artifact artifact = load_artifact(*path);
-  PH_REQUIRE(artifact.type == ArtifactType::kTrace,
-             *path + ": convergence needs a trace JSON (photherm_cli play "
-                     "--convergence --trace FILE)");
+  if (artifact.type != ArtifactType::kTrace) {
+    throw Error(*path +
+                ": convergence needs a trace JSON (photherm_cli play --convergence --trace FILE)");
+  }
   const JsonValue* events = artifact.json.find("traceEvents");
 
   // Counter events arrive grouped per thread in chronological order; a new
