@@ -1,8 +1,8 @@
 /// Timing benchmarks (google-benchmark) of the numerical core: the CSR
-/// sparse matrix-vector product, CG with each preconditioner kind,
-/// Chebyshev degree tuning, assembly, and the transient hot path: repeated
-/// warm-started solves against a fixed stepping matrix, where preconditioner
-/// caching actually shows up.
+/// sparse matrix-vector product, the ILU(0) apply, CG with each
+/// preconditioner kind, Chebyshev degree tuning, assembly, and the transient
+/// hot path: repeated warm-started solves against a fixed stepping matrix,
+/// where preconditioner caching actually shows up.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -66,6 +66,23 @@ void BM_SpMV(benchmark::State& state) {
       static_cast<int64_t>(state.iterations() * systems.csr.matrix.nnz()));
 }
 BENCHMARK(BM_SpMV)->Arg(16)->Arg(32)->Arg(64);
+
+/// One ILU(0) apply (forward and back sweep) at window size: /128 has
+/// 98,304 cells, more than a builtin:corners ONI window (85,544). The
+/// sweeps are serial, so this is the per-iteration cost CG cannot thread.
+void BM_Ilu0Apply(benchmark::State& state) {
+  const auto systems = make_systems(2e-3 / static_cast<double>(state.range(0)));
+  const math::Ilu0Preconditioner precond(systems.csr.matrix);
+  const math::Vector r(systems.csr.matrix.rows(), 1.0);
+  math::Vector z;
+  for (auto _ : state) {
+    precond.apply(r, z);
+    benchmark::DoNotOptimize(z.data());
+  }
+  state.counters["cells"] = static_cast<double>(systems.cells);
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * systems.cells));
+}
+BENCHMARK(BM_Ilu0Apply)->Arg(128)->Unit(benchmark::kMicrosecond);
 
 /// CG with each preconditioner kind, one named row per kind. The label
 /// names the kind; counters report cells and iterations to convergence.

@@ -8,6 +8,22 @@
 
 namespace photherm::math {
 
+namespace {
+
+/// (A x)_row, summed in column order.
+inline double row_product(const CsrMatrix& a, std::size_t row, const Vector& x) {
+  const auto& row_ptr = a.row_ptr();
+  const auto& col_idx = a.col_idx();
+  const auto& values = a.values();
+  double acc = 0.0;
+  for (std::size_t k = row_ptr[row]; k < row_ptr[row + 1]; ++k) {
+    acc += values[k] * x[col_idx[k]];
+  }
+  return acc;
+}
+
+}  // namespace
+
 CsrBuilder::CsrBuilder(std::size_t rows, std::size_t cols) : rows_(rows), cols_(cols) {
   PH_REQUIRE(rows > 0 && cols > 0, "matrix dimensions must be positive");
 }
@@ -66,11 +82,7 @@ void CsrMatrix::multiply(const Vector& x, Vector& y) const {
   y.resize(rows_);
   auto rows_kernel = [&](std::size_t begin, std::size_t end) {
     for (std::size_t r = begin; r < end; ++r) {
-      double acc = 0.0;
-      for (std::size_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
-        acc += values_[k] * x[col_idx_[k]];
-      }
-      y[r] = acc;
+      y[r] = row_product(*this, r, x);
     }
   };
   if (rows_ < util::kSerialCutoff) {
@@ -80,6 +92,27 @@ void CsrMatrix::multiply(const Vector& x, Vector& y) const {
   // Row-parallel SpMV: disjoint writes, per-row accumulation order
   // unchanged, hence bit-identical to the serial loop.
   util::parallel_for(rows_, util::kKernelGrain / 8, rows_kernel);
+}
+
+double CsrMatrix::multiply_dot(const Vector& x, Vector& y) const {
+  PH_REQUIRE(rows_ == cols_ && x.size() == cols_,
+             "SpMV-dot: needs a square matrix and a matching x");
+  telemetry::count("spmv.csr");
+  y.resize(rows_);
+  // One chunk of dot(): its rows of y, then their x·y partial in index order.
+  auto chunk = [&](std::size_t begin, std::size_t end) {
+    double acc = 0.0;
+    for (std::size_t r = begin; r < end; ++r) {
+      y[r] = row_product(*this, r, x);
+      acc += x[r] * y[r];
+    }
+    return acc;
+  };
+  if (rows_ < util::kSerialCutoff) {
+    return chunk(0, rows_);
+  }
+  return util::parallel_reduce(rows_, util::kKernelGrain, 0.0, chunk,
+                               [](double acc, double p) { return acc + p; });
 }
 
 Vector CsrMatrix::multiply(const Vector& x) const {

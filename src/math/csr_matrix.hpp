@@ -61,6 +61,12 @@ class CsrMatrix {
   void multiply(const Vector& x, Vector& y) const;
   Vector multiply(const Vector& x) const;
 
+  /// y = A * x for a square A, returning dot(x, y) from the same pass. The
+  /// dot keeps `dot()`'s chunking and summation order, so it is
+  /// bit-identical to `multiply` followed by `dot` at every thread count.
+  /// Counts as one `spmv.csr`.
+  double multiply_dot(const Vector& x, Vector& y) const;
+
   /// Value at (row, col); zero if not stored. O(log nnz_row).
   double at(std::size_t row, std::size_t col) const;
 

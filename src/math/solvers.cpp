@@ -1,5 +1,6 @@
 #include "math/solvers.hpp"
 
+#include <cmath>
 #include <sstream>
 
 #include "util/error.hpp"
@@ -49,6 +50,38 @@ void prepare_initial_guess(Vector& x, std::size_t n) {
   }
 }
 
+/// x += alpha p and r -= alpha ap on [begin, end), returning that range's
+/// new r·r. Kept out of line: inlined into conjugate_gradient, the sum
+/// shares a stack slot with `rr`, which lives across calls, and every
+/// element then waits on a store and a reload of it.
+[[gnu::noinline]] double update_range(double alpha, const double* p, const double* ap,
+                                      double* x, double* r, std::size_t begin,
+                                      std::size_t end) {
+  double acc = 0.0;
+  for (std::size_t i = begin; i < end; ++i) {
+    x[i] += alpha * p[i];
+    r[i] += -alpha * ap[i];
+    acc += r[i] * r[i];
+  }
+  return acc;
+}
+
+/// The CG step's second pass: x += alpha p and r -= alpha ap, returning the
+/// new r·r. Chunking and summation order are `dot()`'s, so the result is
+/// bit-identical to two axpy calls and dot(r, r) at every thread count.
+double update_iterate(double alpha, const Vector& p, const Vector& ap, Vector& x, Vector& r) {
+  const std::size_t n = r.size();
+  if (n < util::kSerialCutoff) {
+    return update_range(alpha, p.data(), ap.data(), x.data(), r.data(), 0, n);
+  }
+  return util::parallel_reduce(
+      n, util::kKernelGrain, 0.0,
+      [&](std::size_t begin, std::size_t end) {
+        return update_range(alpha, p.data(), ap.data(), x.data(), r.data(), begin, end);
+      },
+      [](double acc, double part) { return acc + part; });
+}
+
 }  // namespace
 
 SolverResult conjugate_gradient(const CsrMatrix& a, const Vector& b, Vector& x,
@@ -75,13 +108,14 @@ SolverResult conjugate_gradient(const CsrMatrix& a, const Vector& b, Vector& x,
   Vector p = z;
   Vector ap(n);
   double rz = dot(r, z);
+  double rr = dot(r, r);
 
   std::vector<double> history;
   std::size_t it = 0;
   for (; it < options.max_iterations; ++it) {
     // The iteration's own stopping check; record_convergence captures
     // exactly this value, so the history costs no extra norm.
-    const double rel = norm2(r) / norm_b;
+    const double rel = std::sqrt(rr) / norm_b;
     if (options.record_convergence) {
       history.push_back(rel);
       telemetry::counter("solver.conjugate_gradient.residual", rel, it);
@@ -89,12 +123,12 @@ SolverResult conjugate_gradient(const CsrMatrix& a, const Vector& b, Vector& x,
     if (rel <= options.rel_tolerance) {
       break;
     }
-    a.multiply(p, ap);
-    const double p_ap = dot(p, ap);
+    // The SpMV returns p·Ap and the x/r updates return the next r·r: each
+    // reduction rides on a pass that streams its vectors anyway.
+    const double p_ap = a.multiply_dot(p, ap);
     PH_REQUIRE(p_ap > 0.0, "CG breakdown: matrix is not positive definite");
     const double alpha = rz / p_ap;
-    axpy(alpha, p, x);
-    axpy(-alpha, ap, r);
+    rr = update_iterate(alpha, p, ap, x, r);
     precond.apply(r, z);
     const double rz_next = dot(r, z);
     const double beta = rz_next / rz;

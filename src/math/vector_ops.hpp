@@ -1,6 +1,7 @@
 /// \file vector_ops.hpp
 /// \brief Free functions on std::vector<double> used by the Krylov solvers.
-/// Kept header-only so the compiler can inline the hot loops.
+/// Header-only so the compiler can inline the elementwise loops; the dot
+/// kernel is the exception (see dot_range).
 ///
 /// Vectors below `util::kSerialCutoff` elements take the straight serial
 /// path; larger ones dispatch chunks onto the shared thread pool. The
@@ -21,24 +22,29 @@ namespace photherm::math {
 
 using Vector = std::vector<double>;
 
+/// a·b over [begin, end), summed in index order. Kept out of line: inlined
+/// into a caller whose result lives across a call (CG's rz), the sum gets
+/// that result's stack slot, and every element waits on a store and a
+/// reload of it.
+[[gnu::noinline]] inline double dot_range(const double* a, const double* b, std::size_t begin,
+                                          std::size_t end) {
+  double acc = 0.0;
+  for (std::size_t i = begin; i < end; ++i) {
+    acc += a[i] * b[i];
+  }
+  return acc;
+}
+
 inline double dot(const Vector& a, const Vector& b) {
   PH_REQUIRE(a.size() == b.size(), "dot: size mismatch");
   const std::size_t n = a.size();
   if (n < util::kSerialCutoff) {
-    double acc = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      acc += a[i] * b[i];
-    }
-    return acc;
+    return dot_range(a.data(), b.data(), 0, n);
   }
   return util::parallel_reduce(
       n, util::kKernelGrain, 0.0,
       [&](std::size_t begin, std::size_t end) {
-        double acc = 0.0;
-        for (std::size_t i = begin; i < end; ++i) {
-          acc += a[i] * b[i];
-        }
-        return acc;
+        return dot_range(a.data(), b.data(), begin, end);
       },
       [](double acc, double p) { return acc + p; });
 }

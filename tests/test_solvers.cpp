@@ -2,14 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <string>
 
 #include "support/fixtures.hpp"
 #include "thermal/fvm.hpp"
 #include "thermal/transient.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
+#include "util/telemetry.hpp"
 #include "util/thread_pool.hpp"
 
 namespace photherm::math {
@@ -569,6 +572,230 @@ TEST(Ilu0, ApplyInvertsItsFactors) {
     max_r = std::max(max_r, std::abs(r[i]));
   }
   EXPECT_LE(max_err, 1e-12 * max_r);
+}
+
+/// The CSR ILU(0) the sweep layout replaced, kept as the reference: the
+/// IKJ factorisation in place on A's values, then a forward sweep and a
+/// back sweep that multiplies by the inverse pivot, both in CSR order.
+class ReferenceIlu0 {
+ public:
+  explicit ReferenceIlu0(const CsrMatrix& a)
+      : row_ptr_(a.row_ptr()), col_(a.col_idx()), lu_(a.values()), n_(a.rows()) {
+    diag_.assign(n_, 0);
+    for (std::size_t i = 0; i < n_; ++i) {
+      for (std::size_t k = row_ptr_[i]; k < row_ptr_[i + 1]; ++k) {
+        if (col_[k] == i) {
+          diag_[i] = k;
+        }
+      }
+    }
+    Vector work(n_, 0.0);
+    std::vector<char> set(n_, 0);
+    for (std::size_t i = 0; i < n_; ++i) {
+      for (std::size_t k = row_ptr_[i]; k < row_ptr_[i + 1]; ++k) {
+        work[col_[k]] = lu_[k];
+        set[col_[k]] = 1;
+      }
+      for (std::size_t k = row_ptr_[i]; k < diag_[i]; ++k) {
+        const std::size_t j = col_[k];
+        const double lij = work[j] / lu_[diag_[j]];
+        work[j] = lij;
+        for (std::size_t kk = diag_[j] + 1; kk < row_ptr_[j + 1]; ++kk) {
+          if (set[col_[kk]]) {
+            work[col_[kk]] -= lij * lu_[kk];
+          }
+        }
+      }
+      for (std::size_t k = row_ptr_[i]; k < row_ptr_[i + 1]; ++k) {
+        lu_[k] = work[col_[k]];
+        work[col_[k]] = 0.0;
+        set[col_[k]] = 0;
+      }
+    }
+  }
+
+  Vector apply(const Vector& r) const {
+    Vector z(n_);
+    for (std::size_t i = 0; i < n_; ++i) {
+      double acc = r[i];
+      for (std::size_t k = row_ptr_[i]; k < diag_[i]; ++k) {
+        acc -= lu_[k] * z[col_[k]];
+      }
+      z[i] = acc;
+    }
+    for (std::size_t i = n_; i-- > 0;) {
+      double acc = z[i];
+      for (std::size_t k = diag_[i] + 1; k < row_ptr_[i + 1]; ++k) {
+        acc -= lu_[k] * z[col_[k]];
+      }
+      z[i] = acc * (1.0 / lu_[diag_[i]]);
+    }
+    return z;
+  }
+
+ private:
+  std::vector<std::size_t> row_ptr_;
+  std::vector<std::uint32_t> col_;
+  Vector lu_;
+  std::vector<std::size_t> diag_;
+  std::size_t n_;
+};
+
+/// max_i |z_i - reference_i| / max_i |reference_i| for one random residual.
+double relative_gap_to_reference(const CsrMatrix& a, std::uint64_t seed) {
+  const Vector r = random_vector(a.rows(), seed);
+  const Vector expected = ReferenceIlu0(a).apply(r);
+  Vector z;
+  Ilu0Preconditioner(a).apply(r, z);
+  double gap = 0.0;
+  double scale = 0.0;
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    gap = std::max(gap, std::abs(z[i] - expected[i]));
+    scale = std::max(scale, std::abs(expected[i]));
+  }
+  return gap / scale;
+}
+
+/// Random symmetric, strictly diagonally dominant M-matrix whose pattern
+/// is no stencil: each row couples to a few random rows, and every third
+/// row to the next one, so the adjacent (i +- 1) entries are present in
+/// some rows and absent in others.
+CsrMatrix random_m_matrix(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::vector<std::pair<std::size_t, double>>> rows(n);
+  Vector diag(n, 0.1);
+  const auto couple = [&](std::size_t i, std::size_t j) {
+    const double w = rng.uniform(0.1, 1.0);
+    rows[i].push_back({j, -w});
+    rows[j].push_back({i, -w});
+    diag[i] += w;
+    diag[j] += w;
+  };
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i % 3 == 0 && i + 1 < n) {
+      couple(i, i + 1);
+    }
+    for (int e = 0; e < 3; ++e) {
+      const auto j = static_cast<std::size_t>(rng.uniform(0.0, static_cast<double>(n)));
+      if (j < n && j != i) {
+        couple(i, j);
+      }
+    }
+  }
+  CsrBuilder builder(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    builder.add(i, i, diag[i]);
+    for (const auto& [j, w] : rows[i]) {
+      builder.add(i, j, w);
+    }
+  }
+  return builder.build();
+}
+
+TEST(Ilu0, SweepLayoutMatchesTheCsrReference) {
+  // Heated slab with every boundary kind: the 7-point stencil.
+  EXPECT_LE(relative_gap_to_reference(
+                thermal::assemble(heated_mesh(80e-6, 90e-6), all_faces_bcs()).matrix, 41),
+            1e-13);
+  // nx = 1 and 2: rows at the x ends have no i - 1 or i + 1 neighbour, and
+  // at nx = 2 the missing adjacent position is one the elimination would
+  // fill, so a zero adjacent coefficient must stand for "no entry".
+  for (const double width : {50e-6, 100e-6}) {
+    const geometry::Scene scene = fixtures::uniform_slab(1e-3, 200e-6);
+    const auto domain = geometry::Box3::make({0.0, 0.0, 0.0}, {width, 1e-3, 200e-6});
+    const auto mesh = mesh::RectilinearMesh::build(
+        scene, domain, fixtures::uniform_mesh_options(50e-6, 50e-6));
+    ASSERT_LE(mesh.nx(), 2u);
+    EXPECT_LE(relative_gap_to_reference(thermal::assemble(mesh, all_faces_bcs()).matrix, 43),
+              1e-13)
+        << "nx = " << mesh.nx();
+  }
+  EXPECT_LE(relative_gap_to_reference(laplacian(300), 47), 1e-13);
+  EXPECT_LE(relative_gap_to_reference(random_m_matrix(400, 53), 59), 1e-13);
+}
+
+TEST(Ilu0, ForwardSweepIsBitIdenticalToTheCsrReference) {
+  // A lower-triangular A leaves U diagonal, so the apply is the forward
+  // sweep plus one multiply by the inverse pivot: it must match the CSR
+  // sweep bit for bit, far entries first and the adjacent one last.
+  const std::size_t n = 500;
+  Rng rng(61);
+  CsrBuilder builder(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    builder.add(i, i, rng.uniform(1.0, 2.0));
+    for (const std::size_t back : {1, 3, 17}) {
+      if (i >= back) {
+        builder.add(i, i - back, rng.uniform(-0.3, 0.3));
+      }
+    }
+  }
+  const CsrMatrix a = builder.build();
+  const Vector r = random_vector(n, 67);
+  Vector z;
+  Ilu0Preconditioner(a).apply(r, z);
+  EXPECT_EQ(z, ReferenceIlu0(a).apply(r));
+}
+
+/// `name`'s total in the exported metrics CSV.
+std::uint64_t counter_total(const std::string& csv, const std::string& name) {
+  const std::string row = "\n" + name + ",counter,";
+  const std::size_t at = csv.find(row);
+  EXPECT_NE(at, std::string::npos) << csv;
+  const std::size_t total = csv.find(',', at + row.size()) + 1;
+  return std::stoull(csv.substr(total, csv.find(',', total) - total));
+}
+
+/// 26^3 = 17,576 cells, above kSerialCutoff: the threaded kernels run.
+thermal::DiscreteSystem threaded_slab() {
+  const double a = 1e-3;
+  const geometry::Scene scene = fixtures::uniform_slab(a, a);
+  const auto mesh =
+      mesh::RectilinearMesh::build(scene, fixtures::uniform_mesh_options(a / 26.0, a / 26.0));
+  EXPECT_GE(mesh.cell_count(), util::kSerialCutoff);
+  thermal::BoundarySet bcs;
+  bcs[thermal::Face::kZMax] = thermal::FaceBc::convection(1e4, 25.0);
+  bcs[thermal::Face::kXMin] = thermal::FaceBc::dirichlet(40.0);
+  return thermal::assemble(mesh, bcs);
+}
+
+TEST(Solvers, FusedPassesCountEveryOperatorApplication) {
+  const thermal::DiscreteSystem system = threaded_slab();
+  telemetry::reset();
+  telemetry::set_enabled(true);
+  Vector x;
+  const SolverResult result = conjugate_gradient(system.matrix, system.rhs, x);
+  telemetry::set_enabled(false);
+  const std::string csv = telemetry::metrics_table().to_csv();
+  telemetry::reset();
+  ASSERT_TRUE(result.converged);
+  ASSERT_GT(result.iterations, 0u);
+  // The initial residual, one per iteration (fused with p.Ap), and the
+  // final true residual; one preconditioner apply before the loop and one
+  // per iteration.
+  EXPECT_EQ(counter_total(csv, "spmv.csr"), result.iterations + 2);
+  EXPECT_EQ(counter_total(csv, "precond.ilu0.applies"), result.iterations + 1);
+}
+
+TEST(Solvers, Ilu0CgIsBitIdenticalAcrossThreadCountsAboveTheCutoff) {
+  const thermal::DiscreteSystem system = threaded_slab();
+  const Ilu0Preconditioner precond(system.matrix);
+  SolverOptions options;
+  options.record_convergence = true;
+  const auto solve_at = [&](std::size_t threads, Vector& x) {
+    fixtures::ConcurrencyGuard guard(threads);
+    return conjugate_gradient(system.matrix, system.rhs, x, precond, options);
+  };
+  Vector x1;
+  const SolverResult serial = solve_at(1, x1);
+  ASSERT_TRUE(serial.converged);
+  for (const std::size_t threads : {2, 4}) {
+    Vector x;
+    const SolverResult threaded = solve_at(threads, x);
+    EXPECT_EQ(threaded.iterations, serial.iterations) << threads << " threads";
+    EXPECT_EQ(threaded.convergence, serial.convergence) << threads << " threads";
+    EXPECT_EQ(std::memcmp(x.data(), x1.data(), x1.size() * sizeof(double)), 0)
+        << threads << " threads";
+  }
 }
 
 }  // namespace

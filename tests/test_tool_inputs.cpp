@@ -220,6 +220,23 @@ TEST(JsonArtifacts, DeepNestingIsAnErrorNotACrash) {
                     path + ": JSON parse error at byte 269: nesting deeper than 256 levels");
 }
 
+TEST(CliDiff, InfiniteCellsMatchOnlyThemselves) {
+  // With an infinite cell the tolerance scale max(1, |a|, |b|) is inf, so
+  // a tolerance test alone would let a blow-up match any number.
+  const ScratchDir dir("cli_diff_inf");
+  const auto diff_status = [&](const std::string& a, const std::string& b) {
+    const std::string left = dir.write("a.csv", "value\n" + a + "\n");
+    const std::string right = dir.write("b.csv", "value\n" + b + "\n");
+    return run_tool(kCli + " diff " + left + " " + right + " --tol 1e-4", dir.path("log.txt"))
+        .status;
+  };
+  EXPECT_EQ(diff_status("inf", "5"), 1);
+  EXPECT_EQ(diff_status("5", "inf"), 1);
+  EXPECT_EQ(diff_status("inf", "-inf"), 1);
+  EXPECT_EQ(diff_status("inf", "inf"), 0);
+  EXPECT_EQ(diff_status("5", "5.0001"), 0);
+}
+
 TEST(ToolInputs, MutationsExitCleanly) {
   const ScratchDir dir("tool_mutations");
   const std::string report_dir = (kSource / "tests/report").string();

@@ -430,10 +430,13 @@ int cmd_diff(const std::vector<std::string>& args) {
       const auto nb = parse_number(cells_b[col]);
       bool ok;
       // NaN cells fall through to the text comparison (NaN != NaN would
-      // make a file mismatch a byte-identical copy of itself).
+      // make a file mismatch a byte-identical copy of itself). Only finite
+      // pairs get the tolerance: with an infinite cell the scale is inf, so
+      // any difference would pass and a blow-up would match every number.
       if (na && nb && !std::isnan(*na) && !std::isnan(*nb)) {
         const double scale = std::max({1.0, std::abs(*na), std::abs(*nb)});
-        ok = *na == *nb || std::abs(*na - *nb) <= tol * scale;
+        ok = *na == *nb || (std::isfinite(*na) && std::isfinite(*nb) &&
+                            std::abs(*na - *nb) <= tol * scale);
       } else {
         ok = trim(cells_a[col]) == trim(cells_b[col]);
       }
