@@ -1,6 +1,5 @@
 #include "math/preconditioner.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <sstream>
@@ -10,48 +9,9 @@
 
 namespace photherm::math {
 
-namespace {
-
-/// Inverted diagonal with the actionable guard the Krylov stack relies on:
-/// a zero diagonal would divide to inf and a negative one silently breaks
-/// the SPD preconditioner, and either surfaces much later as a cryptic CG
-/// non-convergence. Fail at construction, naming the row.
-Vector checked_inverse_diagonal(const CsrMatrix& a) {
-  Vector inv_diag = a.diagonal();
-  for (std::size_t i = 0; i < inv_diag.size(); ++i) {
-    if (!(inv_diag[i] > 0.0)) {
-      std::ostringstream os;
-      os << "Chebyshev preconditioner: non-positive diagonal entry " << inv_diag[i]
-         << " at row " << i
-         << " (the operator must be SPD; check the assembly feeding this solve)";
-      throw Error(os.str());
-    }
-    inv_diag[i] = 1.0 / inv_diag[i];
-  }
-  return inv_diag;
-}
-
-/// max_i scale[i] * sum_j |a_ij|: a Gershgorin-style upper bound on the
-/// spectral radius of diag(scale) * A. With scale = 1/diag(A) this bounds
-/// the Jacobi-scaled spectrum, which is how ChebyshevPreconditioner obtains
-/// its eigenvalue interval without any power iteration.
-double scaled_row_sum_bound(const CsrMatrix& a, const Vector& scale) {
-  const auto& row_ptr = a.row_ptr();
-  const auto& values = a.values();
-  double bound = 0.0;
-  for (std::size_t r = 0; r < a.rows(); ++r) {
-    double sum = 0.0;
-    for (std::size_t k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
-      sum += std::abs(values[k]);
-    }
-    bound = std::max(bound, scale[r] * sum);
-  }
-  return bound;
-}
-
-}  // namespace
-
 Ilu0Preconditioner::Ilu0Preconditioner(const CsrMatrix& a) : n_(a.rows()) {
+  telemetry::Span span("precond.build", "ilu0");
+  telemetry::count("precond.ilu0.builds");
   PH_REQUIRE(a.rows() == a.cols(), "ILU(0) requires a square matrix");
   const auto& row_ptr = a.row_ptr();
   const auto& col_idx = a.col_idx();
@@ -225,114 +185,10 @@ void Ilu0Preconditioner::apply(const Vector& r, Vector& z) const {
   }
 }
 
-ChebyshevPreconditioner::ChebyshevPreconditioner(const CsrMatrix& a,
-                                                 const ChebyshevSettings& settings)
-    : a_(a),
-      inv_diag_(checked_inverse_diagonal(a)),
-      degree_(settings.degree) {
-  PH_REQUIRE(settings.degree >= 1, "Chebyshev degree must be at least 1");
-  PH_REQUIRE(settings.eig_ratio > 1.0, "Chebyshev eig_ratio must exceed 1");
-  lambda_max_ = scaled_row_sum_bound(a, inv_diag_);
-  PH_REQUIRE(lambda_max_ > 0.0 && std::isfinite(lambda_max_),
-             "Chebyshev preconditioner: operator has no finite positive spectrum bound");
-  // Jacobi scaling pins every diagonal of D^{-1} A at 1, so the Gershgorin
-  // discs give a lower spectrum bound for free: min_i (1 - sum|offdiag|/d_i)
-  // = 2 - lambda_max. For the bare conduction operator this is ~0 (useless,
-  // fall back to lambda_max / eig_ratio), but for the diagonally shifted
-  // transient stepping operator A + C/dt it is tight — the interval then
-  // hugs the actual spectrum instead of chasing modes that do not exist,
-  // which is what makes the cached preconditioner cheap per warm step.
-  // Keep a sliver of interval so it never collapses (a diagonal operator
-  // has lambda_max == 1 and the two bounds would otherwise meet).
-  lambda_min_ = std::max(lambda_max_ / settings.eig_ratio, 2.0 - lambda_max_);
-  lambda_min_ = std::min(lambda_min_, 0.95 * lambda_max_);
-}
-
-void ChebyshevPreconditioner::apply(const Vector& r, Vector& z) const {
-  const std::size_t n = inv_diag_.size();
-  PH_REQUIRE(r.size() == n, "Chebyshev apply: size mismatch");
-  telemetry::count("precond.chebyshev.applies");
-
-  // Chebyshev iteration on (D^{-1} A) z = D^{-1} r with zero initial
-  // guess (Saad, Iterative Methods, Alg. 12.1), tracking the unscaled
-  // residual res = r - A z so each step costs exactly one SpMV.
-  const double theta = 0.5 * (lambda_max_ + lambda_min_);
-  const double delta = 0.5 * (lambda_max_ - lambda_min_);
-  const double sigma = theta / delta;
-
-  // First step: z = d = D^{-1} r / theta.
-  Vector d(n);
-  auto first = [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      d[i] = inv_diag_[i] * r[i] / theta;
-    }
-  };
-  if (n < util::kSerialCutoff) {
-    first(0, n);
-  } else {
-    util::parallel_for(n, util::kKernelGrain, first);
-  }
-  z = d;
-  if (degree_ == 1) {
-    return;
-  }
-
-  Vector res = r;
-  Vector ad(n);
-  double rho = 1.0 / sigma;
-  for (std::size_t k = 1; k < degree_; ++k) {
-    // res -= A d (z just moved by d).
-    a_.multiply(d, ad);
-    axpy(-1.0, ad, res);
-    const double rho_next = 1.0 / (2.0 * sigma - rho);
-    const double c_d = rho_next * rho;
-    const double c_res = 2.0 * rho_next / delta;
-    auto update = [&](std::size_t begin, std::size_t end) {
-      for (std::size_t i = begin; i < end; ++i) {
-        d[i] = c_d * d[i] + c_res * inv_diag_[i] * res[i];
-        z[i] += d[i];
-      }
-    };
-    if (n < util::kSerialCutoff) {
-      update(0, n);
-    } else {
-      util::parallel_for(n, util::kKernelGrain, update);
-    }
-    rho = rho_next;
-  }
-}
-
-const char* to_string(PreconditionerKind kind) {
-  switch (kind) {
-    case PreconditionerKind::kIlu0:
-      return "ilu0";
-    case PreconditionerKind::kChebyshev:
-      return "chebyshev";
-  }
-  return "unknown";
-}
-
-PreconditionerKind preconditioner_kind_from_string(const std::string& name) {
-  for (PreconditionerKind kind : {PreconditionerKind::kIlu0, PreconditionerKind::kChebyshev}) {
-    if (name == to_string(kind)) {
-      return kind;
-    }
-  }
-  throw Error("unknown preconditioner `" + name + "` (expected ilu0 or chebyshev)");
-}
-
-std::unique_ptr<Preconditioner> make_preconditioner(PreconditionerKind kind, const CsrMatrix& a,
-                                                    const ChebyshevSettings& chebyshev) {
-  telemetry::Span span("precond.build", to_string(kind));
-  switch (kind) {
-    case PreconditionerKind::kIlu0:
-      telemetry::count("precond.ilu0.builds");
-      return std::make_unique<Ilu0Preconditioner>(a);
-    case PreconditionerKind::kChebyshev:
-      telemetry::count("precond.chebyshev.builds");
-      return std::make_unique<ChebyshevPreconditioner>(a, chebyshev);
-  }
-  throw Error("unknown preconditioner kind");
+// Kept only because perfbench/ calls it; goes with ROADMAP item 1.
+std::unique_ptr<Preconditioner> make_preconditioner(PreconditionerKind, const CsrMatrix& a,
+                                                    const ChebyshevSettings&) {
+  return std::make_unique<Ilu0Preconditioner>(a);
 }
 
 }  // namespace photherm::math

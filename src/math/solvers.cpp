@@ -142,8 +142,8 @@ SolverResult conjugate_gradient(const CsrMatrix& a, const Vector& b, Vector& x,
 
 SolverResult conjugate_gradient(const CsrMatrix& a, const Vector& b, Vector& x,
                                 const SolverOptions& options) {
-  const auto precond = make_preconditioner(options.preconditioner, a, options.chebyshev);
-  return conjugate_gradient(a, b, x, *precond, options);
+  const Ilu0Preconditioner precond(a);
+  return conjugate_gradient(a, b, x, precond, options);
 }
 
 std::string to_string(const SolverResult& result) {

@@ -16,8 +16,9 @@ namespace photherm::math {
 struct SolverOptions {
   double rel_tolerance = 1e-9;   ///< on ||r|| / ||b||
   std::size_t max_iterations = 20000;
+  /// Kept only because perfbench/ calls it; goes with ROADMAP item 1.
   PreconditionerKind preconditioner = PreconditionerKind::kIlu0;
-  /// Used only when `preconditioner == kChebyshev`.
+  /// Kept only because perfbench/ calls it; goes with ROADMAP item 1.
   ChebyshevSettings chebyshev;
   bool throw_on_failure = true;  ///< if false, return best-effort result
   /// Multiplier (>= 1) on `rel_tolerance` when the final true residual is
@@ -58,16 +59,15 @@ struct SolverResult {
 /// correctly sized vector is therefore never silently truncated or padded
 /// with stale entries. `x` receives the solution.
 
-/// Preconditioned conjugate gradient. Builds the preconditioner named by
-/// `options.preconditioner` for this solve.
+/// ILU(0)-preconditioned conjugate gradient: builds an Ilu0Preconditioner
+/// of `a` for this one solve.
 SolverResult conjugate_gradient(const CsrMatrix& a, const Vector& b, Vector& x,
                                 const SolverOptions& options = {});
 
-/// CG with a caller-owned preconditioner: `options.preconditioner` is
-/// ignored and `precond` is applied as-is. This is the hot-path overload —
-/// a transient stepper that solves the same operator every step builds M
-/// once and amortises the setup (ILU(0) factorisation, Chebyshev bounds)
-/// across the whole run instead of paying it per solve.
+/// CG with a caller-owned preconditioner, applied as-is. This is the
+/// hot-path overload — a transient stepper that solves the same operator
+/// every step builds M once and amortises the ILU(0) factorisation across
+/// the whole run instead of paying it per solve.
 SolverResult conjugate_gradient(const CsrMatrix& a, const Vector& b, Vector& x,
                                 const Preconditioner& precond, const SolverOptions& options = {});
 

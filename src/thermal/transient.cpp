@@ -111,8 +111,7 @@ void TransientSolver::set_time_step(double dt) {
 
 void TransientSolver::rebuild_stepping() {
   stepping_matrix_ = stepping_matrix(system_, options_.time_step);
-  precond_ = math::make_preconditioner(options_.solver.preconditioner, stepping_matrix_,
-                                       options_.solver.chebyshev);
+  precond_.emplace(stepping_matrix_);
 }
 
 void TransientSolver::set_time(double time) {

@@ -124,7 +124,7 @@ class TransientSolver {
   math::CsrMatrix stepping_matrix_;  ///< C/dt + A
   /// Cached with the stepping operator and rebuilt only by set_time_step —
   /// never per solve (see TransientStats::preconditioner_builds).
-  std::unique_ptr<math::Preconditioner> precond_;
+  std::optional<math::Ilu0Preconditioner> precond_;
   math::Vector power_;             ///< injected power per cell [W]
   math::Vector bc_rhs_;            ///< boundary wall terms of the rhs
   math::Vector state_;

@@ -29,6 +29,11 @@ constexpr double kMinReferenceTolerance = 1e-15;
 /// total growth factor.
 constexpr double kAdaptiveGrowth = 2.0;
 
+/// Adaptive growth's absolute floor: the step may grow once one step moves
+/// the field by less than this fraction of settle_tolerance (crawling
+/// relative to what "settled" means).
+constexpr double kAdaptiveFloorFraction = 0.25;
+
 /// Largest step adaptive growth may reach, as a multiple of the base step.
 constexpr double kMaxGrowthFactor = 64.0;
 
@@ -202,9 +207,8 @@ void Playback::solve_steady_reference(const PowerTimeline& base_timeline) {
   // One preconditioner serves both reference solves: the matrix does not
   // change between the first pass and the tightened re-solve, so rebuilding
   // it there was pure waste.
-  const auto reference_precond = math::make_preconditioner(
-      reference_options.preconditioner, assembled.matrix, reference_options.chebyshev);
-  math::conjugate_gradient(assembled.matrix, rhs, steady_reference_, *reference_precond,
+  const math::Ilu0Preconditioner reference_precond(assembled.matrix);
+  math::conjugate_gradient(assembled.matrix, rhs, steady_reference_, reference_precond,
                            reference_options);
 
   // Settle/CG tolerance guard: the reference's noise floor — its relative
@@ -227,7 +231,7 @@ void Playback::solve_steady_reference(const PowerTimeline& base_timeline) {
                 << "solver noise; tightening the reference solve from rel_tolerance "
                 << reference_options.rel_tolerance << " to " << tightened;
     reference_options.rel_tolerance = tightened;
-    math::conjugate_gradient(assembled.matrix, rhs, steady_reference_, *reference_precond,
+    math::conjugate_gradient(assembled.matrix, rhs, steady_reference_, reference_precond,
                              reference_options);
   }
   trace_.reference_tolerance = reference_options.rel_tolerance;
@@ -237,14 +241,6 @@ void Playback::adopt_timeline(PowerTimeline timeline) {
   timeline_ = std::move(timeline);
   const std::size_t spp = timeline_.steps_per_period();
   PH_REQUIRE(spp >= 1, "timeline has no steps");
-
-  step_segment_.assign(spp, 0);
-  std::size_t step = 0;
-  for (std::size_t s = 0; s < timeline_.segments.size(); ++s) {
-    for (std::size_t k = 0; k < timeline_.segments[s].steps; ++k) {
-      step_segment_[step++] = s;
-    }
-  }
 
   // Precompute one power vector per segment: phase changes then cost a
   // vector swap in the solver's rhs, never a matrix reassembly.
@@ -307,11 +303,8 @@ void Playback::maybe_grow_dt() {
   // absolute rate that matters near settle) or by less than a fraction of
   // the distance still to cover (which keeps the contraction geometric
   // while the field is far away).
-  const double floor_threshold = options_.adaptive_threshold > 0.0
-                                     ? options_.adaptive_threshold
-                                     : 0.25 * options_.settle_tolerance;
-  const double threshold =
-      std::max(floor_threshold, kAdaptiveContraction * trace_.final_delta);
+  const double threshold = std::max(kAdaptiveFloorFraction * options_.settle_tolerance,
+                                    kAdaptiveContraction * trace_.final_delta);
   if (last_step_delta_ > threshold) {
     return;
   }
@@ -363,7 +356,7 @@ void Playback::update_periodic(const math::Vector& temperatures) {
 
 void Playback::step_once() {
   const std::size_t spp = timeline_.steps_per_period();
-  const std::size_t segment = step_segment_[step_in_period_];
+  const std::size_t segment = timeline_.segment_at_step(step_in_period_);
   if (segment != current_segment_) {
     solver_->set_power(segment_power_[segment]);
     current_segment_ = segment;

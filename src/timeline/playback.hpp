@@ -81,16 +81,12 @@ struct PlaybackOptions {
   /// Defaults to TransientOptions' tolerances.
   math::SolverOptions solver = thermal::TransientOptions{}.solver;
 
-  /// Grow the time step while the field crawls (see file comment). Off by
-  /// default: the fixed grid is what golden traces and time-resolution
-  /// studies want.
+  /// Grow the time step while the field crawls (see file comment): when
+  /// one step moves the field by less than settle_tolerance / 4, or by
+  /// less than half the remaining distance to the steady reference (which
+  /// keeps the approach geometric). Off by default: the fixed grid is what
+  /// golden traces and time-resolution studies want.
   bool adaptive = false;
-  /// Floor on the per-step state change [degC] below which the step may
-  /// grow; 0 picks settle_tolerance / 4 (crawling relative to what
-  /// "settled" means). Independent of the floor, the step also grows
-  /// whenever one step covers less than half the remaining distance to
-  /// the steady reference, which keeps the approach geometric.
-  double adaptive_threshold = 0.0;
 
   /// Relative period-error bound handed to compile_timeline, and the bound
   /// adaptive growth must respect when re-quantizing a multi-scale
@@ -226,7 +222,6 @@ class Playback {
   math::Vector steady_reference_;
 
   PowerTimeline timeline_;                  ///< current grid
-  std::vector<std::size_t> step_segment_;   ///< step-in-period -> segment
   std::vector<math::Vector> segment_power_; ///< per-segment rhs power
   std::size_t current_segment_ = static_cast<std::size_t>(-1);
   double dt_ = 0.0;

@@ -48,16 +48,19 @@ double PowerTimeline::relative_period_error() const {
   return std::abs(period() - requested) / requested;
 }
 
-double PowerTimeline::scale_at_step(std::size_t step) const {
+std::size_t PowerTimeline::segment_at_step(std::size_t step) const {
   PH_REQUIRE(!segments.empty(), "empty timeline");
   std::size_t offset = step % steps_per_period();
-  for (const TimelineSegment& segment : segments) {
-    if (offset < segment.steps) {
-      return segment.scale;
-    }
-    offset -= segment.steps;
+  std::size_t s = 0;
+  while (offset >= segments[s].steps) {  // ends: offset < steps_per_period()
+    offset -= segments[s].steps;
+    ++s;
   }
-  return segments.back().scale;  // unreachable: offset < steps_per_period()
+  return s;
+}
+
+double PowerTimeline::scale_at_step(std::size_t step) const {
+  return segments[segment_at_step(step)].scale;
 }
 
 double PowerTimeline::average_scale() const {

@@ -59,6 +59,10 @@ struct PowerTimeline {
   /// period is not the period the schedule asked for.
   double relative_period_error() const;
 
+  /// Index into `segments` of the segment playing step `step` (0-based,
+  /// wraps periodically). A walk over the few segments: no per-step table.
+  std::size_t segment_at_step(std::size_t step) const;
+
   /// Power scale applied during step `step` (0-based, wraps periodically).
   double scale_at_step(std::size_t step) const;
 

@@ -184,8 +184,6 @@ const std::vector<std::pair<std::string, std::string>>& catalog() {
       {"playback.scenarios", "counter"},
       {"playback.steps", "counter"},
       {"pool.queue_wait", "timer"},
-      {"precond.chebyshev.applies", "counter"},
-      {"precond.chebyshev.builds", "counter"},
       {"precond.ilu0.applies", "counter"},
       {"precond.ilu0.builds", "counter"},
       {"solver.conjugate_gradient.iterations", "counter"},

@@ -33,9 +33,29 @@ CsrMatrix laplacian(std::size_t n) {
   return builder.build();
 }
 
-class PreconditionerSweep : public ::testing::TestWithParam<PreconditionerKind> {};
+/// Diagonal scaling z = D^{-1} r, through the caller-owned-preconditioner
+/// overload: a weak preconditioner for the tests that need CG to take more
+/// than one iteration. ILU(0) factors a tridiagonal matrix exactly, so CG
+/// with it converges in one step.
+class JacobiPreconditioner final : public Preconditioner {
+ public:
+  explicit JacobiPreconditioner(const CsrMatrix& a) : inv_diag_(a.diagonal()) {
+    for (double& d : inv_diag_) {
+      d = 1.0 / d;
+    }
+  }
+  void apply(const Vector& r, Vector& z) const override {
+    z.resize(r.size());
+    for (std::size_t i = 0; i < r.size(); ++i) {
+      z[i] = inv_diag_[i] * r[i];
+    }
+  }
 
-TEST_P(PreconditionerSweep, CgSolvesLaplacian) {
+ private:
+  Vector inv_diag_;
+};
+
+TEST(Solvers, CgSolvesLaplacian) {
   const std::size_t n = 200;
   const CsrMatrix a = laplacian(n);
   Vector x_true(n);
@@ -46,27 +66,12 @@ TEST_P(PreconditionerSweep, CgSolvesLaplacian) {
   const Vector b = a.multiply(x_true);
 
   Vector x;
-  SolverOptions options;
-  options.preconditioner = GetParam();
-  const SolverResult result = conjugate_gradient(a, b, x, options);
+  const SolverResult result = conjugate_gradient(a, b, x);
   EXPECT_TRUE(result.converged);
   for (std::size_t i = 0; i < n; ++i) {
     EXPECT_NEAR(x[i], x_true[i], 1e-6);
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(AllPreconditioners, PreconditionerSweep,
-                         ::testing::Values(PreconditionerKind::kIlu0,
-                                           PreconditionerKind::kChebyshev),
-                         [](const auto& info) {
-                           switch (info.param) {
-                             case PreconditionerKind::kIlu0:
-                               return "Ilu0";
-                             case PreconditionerKind::kChebyshev:
-                               return "Chebyshev";
-                           }
-                           return "Unknown";
-                         });
 
 TEST(Solvers, ZeroRhsGivesZeroSolution) {
   const CsrMatrix a = laplacian(10);
@@ -94,15 +99,12 @@ TEST(Solvers, FailureThrowsWhenRequested) {
   SolverOptions options;
   options.max_iterations = 1;
   options.rel_tolerance = 1e-14;
-  // ILU(0) on a tridiagonal matrix is an exact factorisation and converges
-  // in one step; use diagonal scaling (degree-1 Chebyshev) so a single
-  // iteration genuinely falls short.
-  options.preconditioner = PreconditionerKind::kChebyshev;
-  options.chebyshev.degree = 1;
-  EXPECT_THROW(conjugate_gradient(a, Vector(50, 1.0), x, options), SolverError);
+  // Diagonal scaling, so a single iteration genuinely falls short.
+  const JacobiPreconditioner jacobi(a);
+  EXPECT_THROW(conjugate_gradient(a, Vector(50, 1.0), x, jacobi, options), SolverError);
   options.throw_on_failure = false;
   x.clear();
-  const SolverResult result = conjugate_gradient(a, Vector(50, 1.0), x, options);
+  const SolverResult result = conjugate_gradient(a, Vector(50, 1.0), x, jacobi, options);
   EXPECT_FALSE(result.converged);
 }
 
@@ -157,10 +159,9 @@ TEST(Solvers, ResidualBetweenTolAndTenTolIsNotConverged) {
   const Vector b(n, 1.0);
 
   SolverOptions options;
-  options.preconditioner = PreconditionerKind::kChebyshev;
-  options.chebyshev.degree = 1;
+  const JacobiPreconditioner jacobi(a);
   const auto solve = [&](Vector& x, const SolverOptions& opts) {
-    return conjugate_gradient(a, b, x, opts);
+    return conjugate_gradient(a, b, x, jacobi, opts);
   };
   const auto [budget, tolerance] = find_mid_window_budget(solve, options);
   ASSERT_GT(budget, 0u) << "no suitable trajectory point found";
@@ -172,7 +173,7 @@ TEST(Solvers, ResidualBetweenTolAndTenTolIsNotConverged) {
   options.rel_tolerance = tolerance;
   options.throw_on_failure = false;
   Vector x;
-  const SolverResult mid = conjugate_gradient(a, b, x, options);
+  const SolverResult mid = solve(x, options);
   ASSERT_GT(mid.relative_residual, options.rel_tolerance);
   ASSERT_LT(mid.relative_residual, 10.0 * options.rel_tolerance);
   EXPECT_FALSE(mid.converged);
@@ -180,13 +181,13 @@ TEST(Solvers, ResidualBetweenTolAndTenTolIsNotConverged) {
   // And with throw_on_failure it must actually throw.
   options.throw_on_failure = true;
   x.clear();
-  EXPECT_THROW(conjugate_gradient(a, b, x, options), SolverError);
+  EXPECT_THROW(solve(x, options), SolverError);
 
   // Callers that want the old acceptance window must now ask for it.
   options.throw_on_failure = false;
   options.convergence_slack = 10.0;
   x.clear();
-  EXPECT_TRUE(conjugate_gradient(a, b, x, options).converged);
+  EXPECT_TRUE(solve(x, options).converged);
 }
 
 /// A stale vector of the wrong size must not leak into the initial guess:
@@ -298,23 +299,14 @@ TEST(PreconditionerGuards, Ilu0NamesNonPositiveDiagonalRow) {
   }
 }
 
-TEST(PreconditionerGuards, ChebyshevNamesNonPositiveDiagonalRow) {
-  try {
-    ChebyshevPreconditioner precond(diagonal_matrix(7, 4, 0.0));
-    FAIL() << "expected Error";
-  } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("row 4"), std::string::npos) << e.what();
-  }
-}
-
 /// Regression for the stale-matrix hazard (a preconditioner once kept a raw
-/// pointer into the caller's CsrMatrix): Chebyshev copies the matrix, so the
+/// pointer into the caller's CsrMatrix): ILU(0) owns its factors, so the
 /// apply result must stay bit-identical after A is destroyed.
-TEST(PreconditionerGuards, ChebyshevSurvivesMatrixRebuild) {
+TEST(PreconditionerGuards, Ilu0SurvivesMatrixRebuild) {
   const std::size_t n = 50;
   const Vector r(n, 1.0);
   auto a = std::make_unique<CsrMatrix>(laplacian(n));
-  const ChebyshevPreconditioner precond(*a);
+  const Ilu0Preconditioner precond(*a);
   Vector z_before;
   precond.apply(r, z_before);
   a.reset();
@@ -324,16 +316,15 @@ TEST(PreconditionerGuards, ChebyshevSurvivesMatrixRebuild) {
 }
 
 /// The caller-owned-preconditioner overload must run the exact same
-/// iteration as the kind-based one — bit-identical solution and equal
-/// iteration count — so callers can cache M across solves without changing
-/// results.
+/// iteration as the one that builds ILU(0) per solve — bit-identical
+/// solution and equal iteration count — so callers can cache M across
+/// solves without changing results.
 TEST(Solvers, CachedPreconditionerOverloadMatchesKindBased) {
   const std::size_t n = 200;
   const CsrMatrix a = laplacian(n);
   const Vector b(n, 1.0);
 
   SolverOptions options;
-  options.preconditioner = PreconditionerKind::kIlu0;
   Vector x_kind;
   const SolverResult by_kind = conjugate_gradient(a, b, x_kind, options);
 
@@ -345,25 +336,7 @@ TEST(Solvers, CachedPreconditionerOverloadMatchesKindBased) {
   EXPECT_EQ(x_kind, x_cached);
 }
 
-TEST(Solvers, PreconditionerKindRoundTripsThroughStrings) {
-  for (PreconditionerKind kind : {PreconditionerKind::kIlu0, PreconditionerKind::kChebyshev}) {
-    EXPECT_EQ(preconditioner_kind_from_string(to_string(kind)), kind);
-  }
-  // The deleted kinds (and anything else) fail naming the valid ones.
-  for (const char* name : {"identity", "jacobi", "ssor", "multigrid"}) {
-    try {
-      preconditioner_kind_from_string(name);
-      FAIL() << "expected Error for " << name;
-    } catch (const Error& e) {
-      const std::string what = e.what();
-      EXPECT_NE(what.find(name), std::string::npos) << what;
-      EXPECT_NE(what.find("ilu0"), std::string::npos) << what;
-      EXPECT_NE(what.find("chebyshev"), std::string::npos) << what;
-    }
-  }
-}
-
-// --- Chebyshev on the assembled FVM operator. --------------------------------
+// --- ILU(0) on the assembled FVM operator. ----------------------------------
 
 Vector random_vector(std::size_t n, std::uint64_t seed) {
   Vector v(n);
@@ -400,123 +373,6 @@ thermal::BoundarySet all_faces_bcs() {
   bcs[Face::kZMax] = FaceBc::dirichlet(60.0);
   return bcs;
 }
-
-TEST(Chebyshev, GershgorinBoundContainsJacobiScaledSpectrum) {
-  const auto mesh = heated_mesh(80e-6, 90e-6);
-  const CsrMatrix a = thermal::assemble(mesh, all_faces_bcs()).matrix;
-  const std::size_t n = mesh.cell_count();
-
-  // lambda_max is the Gershgorin row-sum bound of D^{-1} A; the scaled row
-  // sum includes the diagonal itself, so the bound is >= 1.
-  const double bound = ChebyshevPreconditioner(a).lambda_max();
-  ASSERT_TRUE(std::isfinite(bound));
-  EXPECT_GE(bound, 1.0);
-
-  Vector inv_diag = a.diagonal();
-  for (double& d : inv_diag) {
-    ASSERT_GT(d, 0.0);
-    d = 1.0 / d;
-  }
-  // Power iteration on B = D^{-1} A: its estimate grows toward the true
-  // spectral radius from below, so it must stay under the bound.
-  Vector v = random_vector(n, 23);
-  Vector av(n);
-  double estimate = 0.0;
-  for (int iter = 0; iter < 30; ++iter) {
-    a.multiply(v, av);
-    double norm = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      av[i] *= inv_diag[i];
-      norm += av[i] * av[i];
-    }
-    norm = std::sqrt(norm);
-    ASSERT_GT(norm, 0.0);
-    double vnorm = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      vnorm += v[i] * v[i];
-    }
-    estimate = norm / std::sqrt(vnorm);
-    for (std::size_t i = 0; i < n; ++i) {
-      v[i] = av[i] / norm;
-    }
-  }
-  EXPECT_LE(estimate, bound * (1.0 + 1e-12));
-}
-
-TEST(Chebyshev, PreconditionerIsSymmetric) {
-  const auto mesh = heated_mesh(80e-6, 90e-6);
-  const ChebyshevPreconditioner precond(thermal::assemble(mesh, all_faces_bcs()).matrix);
-  const std::size_t n = mesh.cell_count();
-
-  // CG needs a symmetric M^{-1}: <M^{-1}u, v> == <u, M^{-1}v>.
-  const Vector u = random_vector(n, 5);
-  const Vector v = random_vector(n, 6);
-  Vector mu, mv;
-  precond.apply(u, mu);
-  precond.apply(v, mv);
-  double left = 0.0, right = 0.0, mag = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    left += mu[i] * v[i];
-    right += u[i] * mv[i];
-    mag += std::abs(mu[i] * v[i]);
-  }
-  EXPECT_NEAR(left, right, 1e-12 * std::max(1.0, mag));
-}
-
-TEST(Chebyshev, ApplyIsBitIdenticalAcrossThreadCounts) {
-  // 26^3 = 17576 rows exceeds kSerialCutoff, so the threaded kernels run.
-  const double a = 1e-3;
-  geometry::Scene scene = fixtures::uniform_slab(a, a);
-  const auto mesh =
-      mesh::RectilinearMesh::build(scene, fixtures::uniform_mesh_options(a / 26.0, a / 26.0));
-  ASSERT_GE(mesh.cell_count(), util::kSerialCutoff);
-  thermal::BoundarySet bcs;
-  bcs[thermal::Face::kZMax] = thermal::FaceBc::convection(1e4, 25.0);
-  const ChebyshevPreconditioner precond(thermal::assemble(mesh, bcs).matrix);
-
-  const Vector r = random_vector(mesh.cell_count(), 31);
-  const auto apply_at = [&](std::size_t threads) {
-    fixtures::ConcurrencyGuard guard(threads);
-    Vector z;
-    precond.apply(r, z);
-    return z;
-  };
-  const Vector z1 = apply_at(1);
-  EXPECT_EQ(z1, apply_at(2));
-  EXPECT_EQ(z1, apply_at(4));
-}
-
-TEST(Chebyshev, SettingsAreValidated) {
-  const CsrMatrix a = thermal::assemble(heated_mesh(100e-6, 0.0), all_faces_bcs()).matrix;
-  ChebyshevSettings bad_degree;
-  bad_degree.degree = 0;
-  EXPECT_THROW(ChebyshevPreconditioner(a, bad_degree), Error);
-  ChebyshevSettings bad_ratio;
-  bad_ratio.eig_ratio = 1.0;
-  EXPECT_THROW(ChebyshevPreconditioner(a, bad_ratio), Error);
-}
-
-TEST(Chebyshev, ShiftedOperatorTightensTheSpectrumInterval) {
-  const thermal::DiscreteSystem system =
-      thermal::assemble(heated_mesh(100e-6, 0.0), all_faces_bcs());
-
-  // The lower bound is the best of the eig_ratio fallback and the
-  // Gershgorin disc floor 2 - lambda_max of the Jacobi-scaled operator.
-  const ChebyshevPreconditioner bare(system.matrix);
-  EXPECT_NEAR(bare.lambda_min(),
-              std::max(bare.lambda_max() / ChebyshevSettings().eig_ratio,
-                       2.0 - bare.lambda_max()),
-              1e-12 * bare.lambda_max());
-
-  // A strong diagonal shift (the transient stepping matrix C/dt + A with a
-  // small dt) squeezes the Jacobi-scaled spectrum toward 1; the lower bound
-  // must follow it instead of staying at lambda_max / eig_ratio.
-  const ChebyshevPreconditioner shifted(thermal::stepping_matrix(system, 1e-6));
-  EXPECT_LT(shifted.lambda_max(), 1.5);
-  EXPECT_NEAR(shifted.lambda_min(), 2.0 - shifted.lambda_max(), 1e-12 * shifted.lambda_max());
-  EXPECT_GT(shifted.lambda_min(), shifted.lambda_max() / ChebyshevSettings().eig_ratio);
-}
-
 
 TEST(Ilu0, ApplyIgnoresStaleOutputBuffer) {
   const auto mesh = heated_mesh(80e-6, 90e-6);

@@ -67,6 +67,39 @@ TEST(Timeline, ScheduleQuantizesOntoTheStepGrid) {
   EXPECT_DOUBLE_EQ(t.average_scale(), (5.0 * 1.0 + 6.0 * 0.5) / 12.0);
 }
 
+TEST(Timeline, SegmentLookupFlipsExactlyAtSegmentBoundaries) {
+  timeline::PowerTimeline t;
+  t.time_step = 0.1;
+  t.segments = {{1.0, 3, 0.3}, {0.5, 1, 0.1}, {0.0, 4, 0.4}};
+  ASSERT_EQ(t.steps_per_period(), 8u);
+  // Over two periods, the lookup must equal the step -> segment table the
+  // segments spell out.
+  std::vector<std::size_t> table;
+  for (std::size_t s = 0; s < t.segments.size(); ++s) {
+    table.insert(table.end(), t.segments[s].steps, s);
+  }
+  for (std::size_t step = 0; step < 2 * table.size(); ++step) {
+    EXPECT_EQ(t.segment_at_step(step), table[step % table.size()]) << "step " << step;
+    EXPECT_EQ(t.scale_at_step(step), t.segments[table[step % table.size()]].scale);
+  }
+  // Each boundary, from both sides, and the wrap.
+  EXPECT_EQ(t.segment_at_step(2), 0u);
+  EXPECT_EQ(t.segment_at_step(3), 1u);
+  EXPECT_EQ(t.segment_at_step(4), 2u);
+  EXPECT_EQ(t.segment_at_step(7), 2u);
+  EXPECT_EQ(t.segment_at_step(8), 0u);
+
+  // The lookup reads the segments alone: a period of 1e8 steps needs no
+  // per-step storage.
+  timeline::PowerTimeline fine;
+  fine.time_step = 1e-8;
+  fine.segments = {{1.0, 50'000'000, 0.5}, {0.1, 50'000'000, 0.5}};
+  EXPECT_EQ(fine.segment_at_step(49'999'999), 0u);
+  EXPECT_EQ(fine.segment_at_step(50'000'000), 1u);
+  EXPECT_EQ(fine.segment_at_step(99'999'999), 1u);
+  EXPECT_EQ(fine.segment_at_step(100'000'000), 0u);
+}
+
 TEST(Timeline, CompileRejectsBadInput) {
   EXPECT_THROW(timeline::compile_timeline({}, 0.0), Error);
   EXPECT_THROW(timeline::compile_timeline({{-1.0, 0.5}}, 0.1), Error);
@@ -391,7 +424,7 @@ TEST(TimelineAdaptive, GrowthRespectsThePeriodBoundOnBurstSchedules) {
   options.max_periods = 6;
   options.stop_on_settle = false;
   options.adaptive = true;
-  options.adaptive_threshold = 1e9;  // always "crawling": growth every period
+  options.settle_tolerance = 4e9;  // a 1e9 degC growth floor: growth every period
   options.max_period_error = 0.05;
 
   const timeline::TimelineTrace trace = timeline::play_scenario(s, options);

@@ -253,29 +253,25 @@ TEST(Transient, SetTimeStepMatchesAFreshSolverOnTheNewGrid) {
 
 TEST(Transient, PreconditionerIsCachedAcrossStepsAndRebuiltOnNewDt) {
   Rig rig = make_rig(0.5);
-  for (const math::PreconditionerKind kind :
-       {math::PreconditionerKind::kIlu0, math::PreconditionerKind::kChebyshev}) {
-    TransientOptions options;
-    options.time_step = 2e-3;
-    options.solver.preconditioner = kind;
-    TransientSolver solver(rig.mesh, rig.bcs, options);
-    solver.set_uniform_state(25.0);
+  TransientOptions options;
+  options.time_step = 2e-3;
+  TransientSolver solver(rig.mesh, rig.bcs, options);
+  solver.set_uniform_state(25.0);
 
-    // Stepping reuses the construction-time preconditioner: no rebuilds.
-    solver.advance(10);
-    EXPECT_EQ(solver.stats().preconditioner_builds, 0u) << math::to_string(kind);
+  // Stepping reuses the construction-time preconditioner: no rebuilds.
+  solver.advance(10);
+  EXPECT_EQ(solver.stats().preconditioner_builds, 0u);
 
-    // Changing dt changes the stepping operator, so both counters move
-    // together; a same-valued set is a no-op for both.
-    solver.set_time_step(4e-3);
-    EXPECT_EQ(solver.stats().preconditioner_builds, 1u) << math::to_string(kind);
-    EXPECT_EQ(solver.stats().reassemblies, 1u) << math::to_string(kind);
-    solver.set_time_step(4e-3);
-    EXPECT_EQ(solver.stats().preconditioner_builds, 1u) << math::to_string(kind);
+  // Changing dt changes the stepping operator, so both counters move
+  // together; a same-valued set is a no-op for both.
+  solver.set_time_step(4e-3);
+  EXPECT_EQ(solver.stats().preconditioner_builds, 1u);
+  EXPECT_EQ(solver.stats().reassemblies, 1u);
+  solver.set_time_step(4e-3);
+  EXPECT_EQ(solver.stats().preconditioner_builds, 1u);
 
-    solver.advance(5);
-    EXPECT_EQ(solver.stats().preconditioner_builds, 1u) << math::to_string(kind);
-  }
+  solver.advance(5);
+  EXPECT_EQ(solver.stats().preconditioner_builds, 1u);
 }
 
 

@@ -4,9 +4,8 @@
 # vs threaded — the time-series CSVs must be bit-identical, the
 # TimelineRunner determinism guarantee), then compare against the checked-in
 # golden CSV within a numeric tolerance (absorbs cross-platform
-# floating-point drift while still catching real regressions). The
-# Chebyshev-preconditioned playback must match the same golden, and the
-# removed preconditioners and flags must fail with their messages.
+# floating-point drift while still catching real regressions). Removed
+# flags must fail with their messages.
 
 foreach(var PHOTHERM_CLI GOLDEN WORK_DIR)
   if(NOT DEFINED ${var})
@@ -77,11 +76,8 @@ endif()
 
 run_cli(diff ${GOLDEN} ${WORK_DIR}/serial.csv --tol 1e-4)
 
-# Every preconditioner the CLI accepts must reproduce the golden trace.
-run_cli(${play_args} --threads 1 --precond chebyshev -o ${WORK_DIR}/chebyshev.csv)
-run_cli(diff ${GOLDEN} ${WORK_DIR}/chebyshev.csv --tol 1e-4)
-
-run_cli_expect_failure("unknown preconditioner `ssor` \\(expected ilu0 or chebyshev\\)"
-                       ${play_args} --precond ssor -o ${WORK_DIR}/ssor.csv)
+# ILU(0) is the one preconditioner: there is nothing to select.
+run_cli_expect_failure("unknown option `--precond` for play"
+                       ${play_args} --precond ilu0 -o ${WORK_DIR}/precond.csv)
 run_cli_expect_failure("unknown option `--cold-start` for play"
                        ${play_args} --cold-start -o ${WORK_DIR}/cold.csv)

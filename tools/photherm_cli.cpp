@@ -12,10 +12,10 @@
 ///       off (--no-cache turns off sharing of both coarse fields and
 ///       thermal reports); cache statistics go to stderr.
 ///   photherm_cli play <suite> [--dt SEC] [--periods N] [--tol DEGC]
-///                     [--until-settle] [--adaptive] [--precond ilu0|chebyshev]
+///                     [--until-settle] [--adaptive] [--max-period-error REL]
 ///                     [--summary] [--threads N] [-o FILE]
 ///                     [--pause-after N --checkpoint FILE] [--resume FILE]
-///                     [--trace FILE] [--metrics FILE]
+///                     [--progress N] [--convergence] [--trace FILE] [--metrics FILE]
 ///       Transient playback of every scenario's activity schedule (timeline
 ///       engine): emit the time-series CSV (one row per step, probe columns)
 ///       or, with --summary, one settle-report row per scenario. Output is
@@ -69,7 +69,7 @@ int usage(std::ostream& os, int exit_code) {
         "                                           run the batch, emit CSV\n"
         "  play <suite> [--dt SEC] [--periods N] [--tol DEGC] [--until-settle]\n"
         "               [--adaptive] [--max-period-error REL]\n"
-        "               [--precond ilu0|chebyshev] [--summary] [--threads N]\n"
+        "               [--summary] [--threads N]\n"
         "               [--pause-after N --checkpoint FILE] [--resume FILE]\n"
         "               [--progress N] [--convergence]\n"
         "               [--trace FILE] [--metrics FILE] [-o FILE]\n"
@@ -84,8 +84,7 @@ int usage(std::ostream& os, int exit_code) {
         "Both embed a run manifest (git sha, build type, suite, threads) that\n"
         "photherm_report reads. --progress N logs a heartbeat stderr line\n"
         "every N steps; --convergence records per-iteration solver residuals\n"
-        "(SolverResult histories + trace counter events). --precond picks\n"
-        "play's CG preconditioner (default ilu0).\n";
+        "(SolverResult histories + trace counter events).\n";
   return exit_code;
 }
 
@@ -263,10 +262,7 @@ int cmd_play(const std::vector<std::string>& args) {
           PH_REQUIRE(i + 1 < args.size(), std::string(what) + " needs a value");
           return args[++i];
         };
-        if (arg == "--precond") {
-          playback.solver.preconditioner =
-              math::preconditioner_kind_from_string(value("--precond"));
-        } else if (arg == "--dt") {
+        if (arg == "--dt") {
           playback.time_step = parse_double(value("--dt"), "--dt");
         } else if (arg == "--periods") {
           periods = static_cast<std::size_t>(parse_uint(value("--periods"), "--periods"));
